@@ -10,7 +10,8 @@
 #   make chaos   — just the chaos tier: seeded crash/drop/delay schedules
 #                  on both execution substrates under -race, with recovery
 #                  invariants asserted at quiescence and golden fault-trace
-#                  replay checks
+#                  replay checks, plus motserve's HTTP fault drills (a
+#                  faulted op answers 503 and applies nothing)
 #   make cover   — full-suite coverage, failing below COVER_MIN%
 #   make bench   — every benchmark once (-benchtime=1x): the per-figure
 #                  benches, the sweep-worker timing, and the observability
@@ -60,8 +61,8 @@ GO ?= go
 RACE_PKGS = ./internal/experiments ./internal/runtime ./internal/runtime/track ./internal/mobility ./internal/graph ./internal/serve
 RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle'
 
-CHAOS_PKGS = ./internal/chaos ./internal/core ./internal/sim ./internal/runtime ./internal/experiments .
-CHAOS_RUN  = 'TestChaos|TestGoldenChaos|TestRaceDoubleStop'
+CHAOS_PKGS = ./internal/chaos ./internal/core ./internal/sim ./internal/runtime ./internal/experiments ./internal/serve .
+CHAOS_RUN  = 'TestChaos|TestGoldenChaos|TestRaceDoubleStop|TestServeChaos'
 
 CHURN_PKGS = ./internal/hier ./internal/debruijn ./internal/core ./internal/experiments .
 CHURN_RUN  = 'TestChurn|TestGoldenChurn|TestStaleObjects|TestHierRepair|TestExcludeReadmit|TestDynamicJoinLeave|TestQuickJoinLeave|TestIncremental|TestFailRecover|TestFailNode|TestRebuildEachEvent'

@@ -1,6 +1,6 @@
 // Command motserve runs the sharded tracking front end: a long-running
-// HTTP/JSON server over the goroutine runtime, where the headline
-// numbers are ops/sec and tail latency rather than cost ratio.
+// HTTP/JSON server whose shards run on core.Directory, where the
+// headline numbers are ops/sec and tail latency rather than cost ratio.
 //
 // Usage:
 //
@@ -20,6 +20,12 @@
 //
 //	curl localhost:8080/debug/serve                      # aggregate
 //	curl localhost:8080/debug/shard/0/debug/live         # one shard
+//	curl localhost:8080/debug/vars                       # expvar
+//
+// Fault drills (-chaos) are delivery outages, atomic per operation: an
+// operation whose message-passing walk would reach a failed sensor
+// answers 503 and applies nothing, so after the sensor recovers every
+// query answers the last acknowledged position.
 //
 // Backpressure: a full per-shard move queue (-queue) or a saturated
 // inflight window (-inflight) answers 429 with Retry-After: 1; clients
@@ -53,7 +59,7 @@ func run(argv []string) int {
 	fs := flag.NewFlagSet("motserve", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 4, "tracker shards (object space partitions)")
+	shards := fs.Int("shards", 4, "directory shards (object space partitions)")
 	nodes := fs.Int("nodes", 256, "sensor network size (near-square grid)")
 	queue := fs.Int("queue", 1024, "per-shard pending-move queue bound")
 	inflight := fs.Int("inflight", 256, "per-shard synchronous-op window")
@@ -100,7 +106,7 @@ func run(argv []string) int {
 	select {
 	case <-ctx.Done():
 		// Graceful drain: stop admitting, flush every acknowledged move,
-		// stop the trackers. Bounded so a wedged client can't hold the
+		// stop the drain loops. Bounded so a wedged client can't hold the
 		// process hostage.
 		fmt.Fprintln(os.Stderr, "motserve: draining")
 		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,6 +22,18 @@ import (
 
 // ObjectID identifies a distinct mobile object (the paper's o_1..o_m).
 type ObjectID int
+
+// Client-fault classification of operation errors, so callers (the
+// goroutine runtime, internal/serve) can tell a misuse from a failure
+// with errors.Is instead of string matching.
+var (
+	// ErrAlreadyPublished reports a Publish (or Restore) of an object
+	// that is already tracked.
+	ErrAlreadyPublished = errors.New("already published")
+	// ErrNotPublished reports an operation on an object that was never
+	// published (or was unpublished).
+	ErrNotPublished = errors.New("not published")
+)
 
 // Config controls directory behavior.
 type Config struct {

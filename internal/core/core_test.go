@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -412,6 +413,32 @@ func BenchmarkQueryGrid16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := d.Query(graph.NodeID(i%g.N()), 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestErrSentinels pins the client-fault sentinels: errors.Is matches
+// them, and the wrapped messages read exactly as the plain ones did.
+func TestErrSentinels(t *testing.T) {
+	d, _ := buildDir(t, 4, 4, hier.Config{Seed: 1}, Config{})
+	if err := d.Publish(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	_, _, qerr := d.Query(0, 9)
+	for _, tc := range []struct {
+		err  error
+		is   error
+		text string
+	}{
+		{d.Publish(1, 5), ErrAlreadyPublished, "core: object 1 already published at node 3"},
+		{d.Restore(1, 5), ErrAlreadyPublished, "core: object 1 already published at node 3"},
+		{d.Move(9, 2), ErrNotPublished, "core: object 9 not published"},
+		{qerr, ErrNotPublished, "core: object 9 not published"},
+		{d.Repair(9), ErrNotPublished, "core: object 9 not published"},
+		{d.Unpublish(9), ErrNotPublished, "core: object 9 not published"},
+	} {
+		if !errors.Is(tc.err, tc.is) || tc.err.Error() != tc.text {
+			t.Errorf("error %v: want %q matching %v", tc.err, tc.text, tc.is)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func (d *Directory) Publish(o ObjectID, at graph.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if cur, ok := d.loc[o]; ok {
-		return fmt.Errorf("core: object %d already published at node %d", o, cur)
+		return fmt.Errorf("core: object %d %w at node %d", o, ErrAlreadyPublished, cur)
 	}
 	d.obsStart(obs.OpPublish, o)
 	cost := d.stampWalk(o, at, 0)
@@ -73,7 +73,7 @@ func (d *Directory) Move(o ObjectID, to graph.NodeID) error {
 	defer d.mu.Unlock()
 	from, ok := d.loc[o]
 	if !ok {
-		return fmt.Errorf("core: object %d not published", o)
+		return fmt.Errorf("core: object %d %w", o, ErrNotPublished)
 	}
 	if from == to {
 		return nil
@@ -187,7 +187,7 @@ func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, Qu
 	defer d.mu.Unlock()
 	proxy, ok := d.loc[o]
 	if !ok {
-		return graph.Undefined, QueryTrace{}, fmt.Errorf("core: object %d not published", o)
+		return graph.Undefined, QueryTrace{}, fmt.Errorf("core: object %d %w", o, ErrNotPublished)
 	}
 	d.obsStart(obs.OpQuery, o)
 	sampled := d.sampleBegin()

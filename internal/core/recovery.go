@@ -50,7 +50,7 @@ func (d *Directory) Unpublish(o ObjectID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.loc[o]; !ok {
-		return fmt.Errorf("core: object %d not published", o)
+		return fmt.Errorf("core: object %d %w", o, ErrNotPublished)
 	}
 	d.obsStart(obs.OpRecovery, o)
 	cost := 0.0
@@ -138,7 +138,7 @@ func (d *Directory) Repair(o ObjectID) error {
 	defer d.mu.Unlock()
 	proxy, ok := d.loc[o]
 	if !ok {
-		return fmt.Errorf("core: object %d not published", o)
+		return fmt.Errorf("core: object %d %w", o, ErrNotPublished)
 	}
 	d.obsStart(obs.OpRecovery, o)
 	// wipe iterates the slot map; mark it with one aggregate event rather
@@ -162,7 +162,7 @@ func (d *Directory) Restore(o ObjectID, at graph.NodeID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if cur, ok := d.loc[o]; ok {
-		return fmt.Errorf("core: object %d already published at node %d", o, cur)
+		return fmt.Errorf("core: object %d %w at node %d", o, ErrAlreadyPublished, cur)
 	}
 	d.obsStart(obs.OpRecovery, o)
 	cost := d.stampWalk(o, at, 0)
@@ -235,24 +235,63 @@ func holdsAbove(high []*slot, o ObjectID) bool {
 // trailIntact follows o's stored trail from the given root station down
 // to level 0, reporting whether it is unbroken and ends at the proxy.
 func (d *Directory) trailIntact(o ObjectID, proxy graph.NodeID, root overlay.Station) bool {
-	st := root
+	end, ok := d.descend(o, root, nil)
+	return ok && end.Host == proxy
+}
+
+// descend follows o's stored trail from station st down its child
+// pointers, calling visit (when non-nil) on each station holding o, and
+// returns the station the walk ended at. ok reports an unbroken trail
+// ending in a level-0 slot; a missing entry, a level skip, or visit
+// returning false ends the walk early with ok false.
+func (d *Directory) descend(o ObjectID, st overlay.Station, visit func(overlay.Station) bool) (end overlay.Station, ok bool) {
 	for {
-		s, ok := d.peek(st)
-		if !ok {
-			return false
+		s, has := d.peek(st)
+		if !has {
+			return st, false
 		}
 		e, has := s.dl[o]
 		if !has {
-			return false
+			return st, false
+		}
+		if visit != nil && !visit(st) {
+			return st, false
 		}
 		if !e.hasChild {
-			return st.Level == 0 && st.Host == proxy
+			return st, st.Level == 0
 		}
 		if e.child.Level != st.Level-1 {
 			// Level strictly decreases, so the walk always terminates.
-			return false
+			return st, false
 		}
 		st = e.child
+	}
+}
+
+// Deliveries calls visit, in walk order, on the host of every station an
+// operation on o issued at sensor x delivers a message to under the
+// message-passing protocol: the stations of DPath(x), level by level,
+// climbing until one holds o, then o's stored trail below that station
+// down to the proxy. That covers a move to x (insert climb, then the old
+// trail's delete) and a query from x (climb, then descent; an SDL
+// shortcut only lands on that trail sooner). An object no station holds
+// — a publish at x — climbs to the root. visit returning false stops the
+// walk. Deliveries only reads the directory; a caller that must apply
+// the operation exactly when every delivery succeeds serializes the two
+// itself.
+func (d *Directory) Deliveries(o ObjectID, x graph.NodeID, visit func(graph.NodeID) bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, level := range d.ov.DPath(x) {
+		for _, st := range level {
+			if d.holds(st, o) {
+				d.descend(o, st, func(st overlay.Station) bool { return visit(st.Host) })
+				return
+			}
+			if !visit(st.Host) {
+				return
+			}
+		}
 	}
 }
 

@@ -151,3 +151,59 @@ func TestChaosRecoveryAbsorbMeter(t *testing.T) {
 		t.Fatalf("absorbed meter %+v, want %+v", got, want)
 	}
 }
+
+// TestDeliveriesWalk pins the delivery walk's shape on parent-set paths
+// with special parents on: a published object's walk starts at the
+// issuing sensor and ends at its proxy after visiting the climb up to
+// the first holding station and the trail below it; an unpublished
+// object's walk is the whole of DPath(x), ending at the root; and visit
+// returning false stops the walk.
+func TestDeliveriesWalk(t *testing.T) {
+	d, g := buildDir(t, 6, 6, hier.Config{Seed: 1, UseParentSets: true, SpecialParentOffset: 2}, Config{})
+	locs := populate(t, d, g, 4, 3)
+	ov := d.Overlay()
+	for o, proxy := range locs {
+		for x := 0; x < g.N(); x++ {
+			var hosts []graph.NodeID
+			d.Deliveries(ObjectID(o), graph.NodeID(x), func(n graph.NodeID) bool {
+				hosts = append(hosts, n)
+				return true
+			})
+			if len(hosts) == 0 || hosts[0] != graph.NodeID(x) || hosts[len(hosts)-1] != proxy {
+				t.Fatalf("object %d from %d: walk %v, want %d ... %d", o, x, hosts, x, proxy)
+			}
+			if graph.NodeID(x) == proxy && len(hosts) != 1 {
+				t.Fatalf("object %d queried at its proxy: walk %v, want just the proxy", o, hosts)
+			}
+		}
+	}
+
+	var flat []graph.NodeID
+	for _, level := range ov.DPath(7) {
+		for _, st := range level {
+			flat = append(flat, st.Host)
+		}
+	}
+	var got []graph.NodeID
+	d.Deliveries(99, 7, func(n graph.NodeID) bool {
+		got = append(got, n)
+		return true
+	})
+	if len(got) != len(flat) || got[len(got)-1] != ov.Root().Host {
+		t.Fatalf("unpublished walk %v, want all of DPath(7) %v ending at root %d", got, flat, ov.Root().Host)
+	}
+	for i := range flat {
+		if got[i] != flat[i] {
+			t.Fatalf("unpublished walk %v, want DPath(7) %v", got, flat)
+		}
+	}
+
+	calls := 0
+	d.Deliveries(99, 7, func(graph.NodeID) bool {
+		calls++
+		return calls < 2
+	})
+	if calls != 2 {
+		t.Fatalf("visit returned false on call 2, walk made %d calls", calls)
+	}
+}

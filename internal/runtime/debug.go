@@ -63,8 +63,8 @@ func (s *DebugServer) Close() error {
 }
 
 // DebugMux returns the tracker's diagnostics handler — what ServeDebug
-// serves — so front ends (internal/serve mounts one per shard) and
-// tests can mount it under their own prefix without binding a listener.
+// serves — so front ends and tests can mount it under their own prefix
+// without binding a listener.
 // The /debug/live endpoints fall back to an on-demand snapshot when no
 // Publisher runs, so the mux is self-contained.
 func (t *Tracker) DebugMux() *http.ServeMux { return t.debugMux() }

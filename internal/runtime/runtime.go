@@ -15,7 +15,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -74,16 +73,16 @@ type result struct {
 	err   error
 }
 
-// Client-fault classification of operation errors, so front ends
-// (internal/serve) can map them to request-level statuses without
-// string matching. Both wrap into the same messages as before.
+// Client-fault classification of operation errors: the core sentinels
+// themselves, so errors.Is matches a runtime error and a core error
+// against either package's name.
 var (
 	// ErrAlreadyPublished reports a Publish of an object that is
 	// already tracked.
-	ErrAlreadyPublished = errors.New("already published")
+	ErrAlreadyPublished = core.ErrAlreadyPublished
 	// ErrNotPublished reports a Move or Query of an object the tracker
 	// has never seen (or that was unpublished).
-	ErrNotPublished = errors.New("not published")
+	ErrNotPublished = core.ErrNotPublished
 )
 
 // Tracker runs the distributed MOT protocol over an overlay, one goroutine

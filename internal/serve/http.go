@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/live"
-	"repro/internal/runtime"
 )
 
 // Wire types for the /v1 API. Object IDs are free-form int64s chosen by
@@ -35,7 +34,7 @@ type (
 		To     int64 `json:"to"`
 		Shard  int   `json:"shard"`
 		// Coalesced reports that a newer queued move of the same object
-		// superseded this one before the tracker saw it; the trail
+		// superseded this one before the directory saw it; the trail
 		// reflects a report at least as new as this one.
 		Coalesced bool `json:"coalesced,omitempty"`
 	}
@@ -61,13 +60,7 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/query/{object}", s.handleQuery)
 	mux.HandleFunc("POST /v1/fail/{node}", s.drillHandler("fail"))
 	mux.HandleFunc("POST /v1/recover/{node}", s.drillHandler("recover"))
-	mux.HandleFunc("GET /debug/serve", s.handleDebugServe)
-	// Each shard's full runtime diagnostics ride along under a prefix:
-	// GET /debug/shard/<i>/debug/live, /debug/shard/<i>/debug/load, ...
-	for i, sh := range s.shards {
-		prefix := fmt.Sprintf("/debug/shard/%d", i)
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, sh.tr.DebugMux()))
-	}
+	s.mountDebug(mux)
 	return mux
 }
 
@@ -98,15 +91,23 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// admitted rejects new work once a drain has begun. The HTTP server's
-// own Shutdown already stops accepting connections; this flag covers
-// handlers mounted without one (tests driving Handler directly).
+// admitted registers a /v1 handler with the drain, or answers 503 once
+// a drain has begun; a handler it admits must call s.handlers.Done when
+// it returns. The HTTP server's own Shutdown already stops accepting
+// connections and waits for its handlers; the registration covers
+// handlers mounted without one (tests driving Handler directly), so
+// Shutdown never stops a drain loop a move handler still waits on.
 func (s *Server) admitted(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "server draining")
-		return false
+	s.admitMu.RLock()
+	ok := !s.draining
+	if ok {
+		s.handlers.Add(1)
 	}
-	return true
+	s.admitMu.RUnlock()
+	if !ok {
+		writeErr(w, http.StatusServiceUnavailable, "server draining")
+	}
+	return ok
 }
 
 // reject answers 429 with the contract's Retry-After hint.
@@ -125,15 +126,15 @@ func (s *Server) validNode(w http.ResponseWriter, n int64) bool {
 	return true
 }
 
-// opStatus maps tracker errors onto request statuses via the sentinel
+// opStatus maps directory errors onto request statuses via the sentinel
 // classification, so client faults (404/409) never masquerade as server
 // faults and fault-drill delivery failures surface as 503s.
 func opStatus(err error) int {
 	var de *chaos.DeliveryError
 	switch {
-	case errors.Is(err, runtime.ErrNotPublished):
+	case errors.Is(err, core.ErrNotPublished):
 		return http.StatusNotFound
-	case errors.Is(err, runtime.ErrAlreadyPublished):
+	case errors.Is(err, core.ErrAlreadyPublished):
 		return http.StatusConflict
 	case errors.As(err, &de):
 		return http.StatusServiceUnavailable
@@ -146,6 +147,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	var req publishRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -160,7 +162,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.agg.Start()
-	err := sh.tr.Publish(obj, graph.NodeID(req.Node))
+	err := sh.publish(obj, graph.NodeID(req.Node))
 	sh.release()
 	s.agg.Observe(live.ClassPublish, st, int(obj), err)
 	if err != nil {
@@ -174,6 +176,7 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	var req moveRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -206,6 +209,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admitted(w) {
 		return
 	}
+	defer s.handlers.Done()
 	objRaw := r.PathValue("object")
 	objN, err := strconv.ParseInt(objRaw, 10, 64)
 	if err != nil {
@@ -232,7 +236,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.agg.Start()
-	loc, cost, err := sh.tr.Query(graph.NodeID(from), obj)
+	loc, cost, err := sh.query(graph.NodeID(from), obj)
 	sh.release()
 	s.agg.Observe(live.ClassQuery, st, int(obj), err)
 	if err != nil {
@@ -246,7 +250,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // drillHandler builds the fail/recover admin endpoint. Drills are a
 // deliberate blast radius: the named sensor goes down (or comes back)
-// on every shard at once, since shards share the physical network.
+// for every shard at once, since shards share the physical network.
 func (s *Server) drillHandler(action string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.cfg.ChaosAdmin {
@@ -257,6 +261,7 @@ func (s *Server) drillHandler(action string) http.HandlerFunc {
 		if !s.admitted(w) {
 			return
 		}
+		defer s.handlers.Done()
 		raw := r.PathValue("node")
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
@@ -267,13 +272,7 @@ func (s *Server) drillHandler(action string) http.HandlerFunc {
 			return
 		}
 		st := s.agg.Start()
-		for _, sh := range s.shards {
-			if action == "fail" {
-				sh.tr.Crash(graph.NodeID(n))
-			} else {
-				sh.tr.Recover(graph.NodeID(n))
-			}
-		}
+		s.setDown(graph.NodeID(n), action == "fail")
 		s.agg.Observe(live.ClassRecovery, st, int(n), nil)
 		writeJSON(w, http.StatusOK, drillResponse{Node: n, Action: action})
 	}

@@ -5,35 +5,42 @@
 // ops/sec and tail latency rather than cost ratio.
 //
 // Architecture. The object space is partitioned across N shards by a
-// SplitMix64 hash of the object ID; each shard owns an independent
-// goroutine-runtime tracker (internal/runtime) over one shared sensor
-// network and overlay hierarchy, with its own wall-clock telemetry
-// recorder (internal/obs/live, labeled serve-shard-<i>). Publishes and
-// queries execute synchronously under a per-shard inflight window;
-// moves flow through a per-shard bounded queue into a drain loop that
-// batches whatever is pending and coalesces multiple queued moves of
-// the same object into the latest position before touching the tracker
-// (the paper's one-by-one discipline then pays one maintenance
-// operation for a burst of position reports). Every accepted move is
-// acknowledged only after its batch applies, so a 200 means the trail
-// reflects the report — nothing acknowledged can be lost by a drain.
+// SplitMix64 hash of the object ID. Shards run on core.Directory: each
+// owns one sequential directory over the server's shared sensor network
+// and overlay hierarchy, with its own wall-clock telemetry recorder
+// (internal/obs/live, labeled serve-shard-<i>) timing every directory
+// op. The shard is the unit of concurrency; its ops execute one at a
+// time under the shard lock. Publishes and queries execute
+// synchronously under a per-shard inflight window; moves flow through a
+// per-shard bounded queue into a drain loop that batches whatever is
+// pending and coalesces multiple queued moves of the same object into
+// the latest position before touching the directory (the paper's
+// one-by-one discipline then pays one maintenance operation for a burst
+// of position reports). Every accepted move is acknowledged only after
+// its batch applies, so a 200 means the trail reflects the report —
+// nothing acknowledged can be lost by a drain.
 //
 // Backpressure. Both admission paths are bounded: a full move queue or
 // a saturated inflight window answers 429 with a Retry-After hint
 // instead of queueing unboundedly. Shutdown drains in dependency
 // order — stop admitting, finish in-flight handlers (which flushes the
 // move queues, since handlers block for their acks), then stop the
-// drain loops and trackers — so SIGTERM never abandons acknowledged
-// work.
+// drain loops — so SIGTERM never abandons acknowledged work.
 //
 // Observability and chaos. /debug/serve aggregates ops/sec, queue
-// depths and per-class p50/p99 across shards; each shard's full
-// runtime diagnostics (including /debug/live) mount under
-// /debug/shard/<i>/. With Config.ChaosAdmin set, POST /v1/fail/<node>
-// and /v1/recover/<node> drive internal/chaos fault drills against the
-// live server: messages routed through a failed sensor drop and
-// retry until the retransmission budget surfaces a DeliveryError as a
-// 503. This package measures wall-clock time by design and is on
+// depths and per-class p50/p99 across shards; each shard's live
+// latencies, sampled spans and per-sensor entry counts mount under
+// /debug/shard/<i>/debug/, and expvar and pprof mount once at
+// /debug/vars and /debug/pprof/. With Config.ChaosAdmin set,
+// POST /v1/fail/<node> and /v1/recover/<node> drive fault drills
+// against the live server: the server holds one set of down sensors,
+// shared by every shard. A drill is a delivery outage, atomic per op:
+// before applying an op, its shard computes which sensors the op's
+// message-passing walk would deliver to (core.Directory.Deliveries: the
+// climb along DPath up to the first station holding the object, then
+// the object's stored trail below it), and if any is down the op fails
+// whole with a *chaos.DeliveryError, answered 503, having applied
+// nothing. This package measures wall-clock time by design and is on
 // motlint's walltime allowlist; nothing it records feeds deterministic
 // artifacts.
 package serve
@@ -47,13 +54,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/obs/live"
 	"repro/internal/overlay"
-	"repro/internal/runtime"
 )
 
 // OracleMinNodes is the network size at which the server switches its
@@ -63,15 +68,15 @@ const OracleMinNodes = 4096
 
 // Config parameterizes a Server.
 type Config struct {
-	// Shards is the number of independent trackers the object space is
-	// hash-partitioned across. Default 4.
+	// Shards is the number of independent directories the object space
+	// is hash-partitioned across. Default 4.
 	Shards int
 	// Nodes is the sensor-network size (a near-square grid). Networks
 	// of OracleMinNodes and above build on the sub-quadratic distance
 	// oracle instead of the exact metric. Default 256.
 	Nodes int
 	// Seed drives the overlay construction and salts each shard's
-	// telemetry and fault streams. Default 1.
+	// telemetry sampling. Default 1.
 	Seed int64
 	// QueueDepth bounds each shard's pending-move queue; a full queue
 	// answers 429. Default 1024.
@@ -83,14 +88,9 @@ type Config struct {
 	// Default live.DefaultSampleSize.
 	SampleSize int
 	// ChaosAdmin opts in to the fault-drill admin endpoints
-	// (/v1/fail, /v1/recover) and builds every shard tracker with a
-	// chaos injector so failed sensors actually drop traffic. Off, the
-	// endpoints answer 403 and trackers run injector-free.
+	// (/v1/fail, /v1/recover). Off, the endpoints answer 403 and no
+	// sensor is ever down.
 	ChaosAdmin bool
-	// MaxAttempts bounds per-message retransmissions during fault
-	// drills before an operation fails with a 503. Only meaningful with
-	// ChaosAdmin; default 4.
-	MaxAttempts int
 }
 
 func (c *Config) fill() {
@@ -112,9 +112,6 @@ func (c *Config) fill() {
 	if c.SampleSize <= 0 {
 		c.SampleSize = live.DefaultSampleSize
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
 }
 
 // Server is the sharded serving front end. Build with New, expose via
@@ -132,22 +129,35 @@ type Server struct {
 	// agg measures request latency at the HTTP surface (admission to
 	// response, queue wait included) across all shards — the number
 	// /debug/serve's percentiles report. Per-shard recorders underneath
-	// measure tracker-op latency alone.
+	// measure directory-op latency alone.
 	agg   *live.Recorder
 	start time.Time
 
+	// down is the one set of failed sensors every shard checks its ops
+	// against; ndown counts its members so the fault-free path skips
+	// the check with one load.
+	down  []atomic.Bool
+	ndown atomic.Int64
+
 	rejected atomic.Int64 // 429s across all endpoints
 
-	httpMu   sync.Mutex
-	httpSrv  *http.Server
-	draining atomic.Bool
+	httpMu  sync.Mutex
+	httpSrv *http.Server
+
+	// Admission against the drain: a /v1 handler joins handlers under
+	// the read lock only while draining is false, and Shutdown sets
+	// draining under the write lock, so handlers.Wait then covers every
+	// handler that may still enqueue a move.
+	admitMu  sync.RWMutex
+	draining bool
+	handlers sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // New builds the shared substrate (grid, distance oracle, overlay) and
-// starts Config.Shards independent trackers over it. The server is not
+// starts Config.Shards independent directories over it. The server is not
 // listening yet: mount Handler yourself or call Serve/ListenAndServe.
 // Call Shutdown to drain.
 func New(cfg Config) (*Server, error) {
@@ -173,9 +183,10 @@ func New(cfg Config) (*Server, error) {
 		root:  ov.Root().Host,
 		agg:   live.New("serve", live.Config{SampleSize: cfg.SampleSize, Seed: cfg.Seed}),
 		start: time.Now(),
+		down:  make([]atomic.Bool, g.N()),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, s, g, ov))
+		s.shards = append(s.shards, newShard(i, s, ov))
 	}
 	s.mux = s.buildMux()
 	return s, nil
@@ -206,7 +217,7 @@ func (s *Server) Root() graph.NodeID { return s.root }
 // a direct (non-HTTP) read for tests and invariant checks; valid even
 // after Shutdown.
 func (s *Server) Location(o core.ObjectID) (graph.NodeID, bool) {
-	return s.shardFor(o).tr.Location(o)
+	return s.shardFor(o).dir.Location(o)
 }
 
 // Handler returns the server's HTTP handler (the /v1 API plus the
@@ -238,14 +249,15 @@ func (s *Server) ListenAndServe(addr string) error {
 // Shutdown drains the server in dependency order: stop admitting
 // requests (new arrivals answer 503), let in-flight handlers finish —
 // which flushes the move queues, because a move handler only returns
-// once its batch applied — then stop the drain loops, and finally the
-// shard trackers. Acknowledged moves are therefore always applied
-// before their trackers stop: a drain loses nothing a client was told
-// succeeded. Idempotent and safe to call concurrently; every call
-// returns the first drain's error.
+// once its batch applied — then stop the drain loops. Acknowledged
+// moves are therefore always applied before the drain ends: a drain
+// loses nothing a client was told succeeded. Idempotent and safe to
+// call concurrently; every call returns the first drain's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
-		s.draining.Store(true)
+		s.admitMu.Lock()
+		s.draining = true
+		s.admitMu.Unlock()
 		var err error
 		s.httpMu.Lock()
 		srv := s.httpSrv
@@ -257,45 +269,39 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				err = srv.Close()
 			}
 		}
+		s.handlers.Wait()
 		for _, sh := range s.shards {
 			sh.stopLoop()
 		}
 		for _, sh := range s.shards {
 			sh.loops.Wait()
 		}
-		for _, sh := range s.shards {
-			sh.tr.Stop()
-		}
 		s.closeErr = err
 	})
 	return s.closeErr
 }
 
-// newInjector builds a shard's fault injector for ChaosAdmin mode:
-// zero spontaneous fault rates — drills drive explicit Crash/Recover —
-// with the configured retransmission budget so traffic through a
-// failed sensor surfaces a DeliveryError instead of hanging.
-func newInjector(cfg Config, shardID int, n int) *chaos.Injector {
-	if !cfg.ChaosAdmin {
-		return nil
+// setDown marks sensor n down (or up again) for every shard at once.
+func (s *Server) setDown(n graph.NodeID, down bool) {
+	if s.down[n].CompareAndSwap(!down, down) {
+		if down {
+			s.ndown.Add(1)
+		} else {
+			s.ndown.Add(-1)
+		}
 	}
-	return chaos.NewInjector(chaos.Config{
-		Seed:        cfg.Seed + int64(shardID),
-		MaxAttempts: cfg.MaxAttempts,
-	}, n)
 }
 
-// newShard starts shard i's tracker and drain loop.
-func newShard(i int, s *Server, g *graph.Graph, ov overlay.Overlay) *shard {
-	lrec := live.New(fmt.Sprintf("serve-shard-%d", i), live.Config{
-		SampleSize: s.cfg.SampleSize,
-		Seed:       s.cfg.Seed + int64(i),
-	})
+// newShard starts shard i's directory and drain loop.
+func newShard(i int, s *Server, ov overlay.Overlay) *shard {
 	sh := &shard{
-		id:    i,
-		srv:   s,
-		live:  lrec,
-		tr:    runtime.NewLive(g, ov, newInjector(s.cfg, i, g.N()), nil, lrec),
+		id:  i,
+		srv: s,
+		live: live.New(fmt.Sprintf("serve-shard-%d", i), live.Config{
+			SampleSize: s.cfg.SampleSize,
+			Seed:       s.cfg.Seed + int64(i),
+		}),
+		dir:   core.New(ov, core.Config{}),
 		moveQ: make(chan moveReq, s.cfg.QueueDepth),
 		sem:   make(chan struct{}, s.cfg.Inflight),
 		quit:  make(chan struct{}),

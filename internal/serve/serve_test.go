@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/live"
@@ -181,14 +184,14 @@ func TestServeShardPartition(t *testing.T) {
 }
 
 // TestServeCoalescing feeds one batch with a burst of moves for the
-// same object through applyBatch directly: the tracker sees exactly one
+// same object through applyBatch directly: the directory sees exactly one
 // move (the latest position), superseded requests ack as coalesced, and
 // an interleaved second object is untouched by the collapse.
 func TestServeCoalescing(t *testing.T) {
 	s, _ := newTestServer(t, Config{Shards: 1, Nodes: 36, Seed: 1})
 	sh := s.shards[0]
 	for o := 1; o <= 2; o++ {
-		if err := sh.tr.Publish(core.ObjectID(o), 0); err != nil {
+		if err := sh.publish(core.ObjectID(o), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,17 +213,17 @@ func TestServeCoalescing(t *testing.T) {
 			t.Errorf("batch[%d] coalesced = %v, want %v", i, res.coalesced, wantCoalesced[i])
 		}
 	}
-	if loc, _ := sh.tr.Location(1); loc != 23 {
+	if loc, _ := sh.dir.Location(1); loc != 23 {
 		t.Fatalf("object 1 at %d, want the latest queued position 23", loc)
 	}
-	if loc, _ := sh.tr.Location(2); loc != 9 {
+	if loc, _ := sh.dir.Location(2); loc != 9 {
 		t.Fatalf("object 2 at %d, want 9", loc)
 	}
 
-	// The collapse must be visible at the tracker: 4 queued moves, but
+	// The collapse must be visible at the directory: 4 queued moves, but
 	// only 2 maintenance ops recorded (one per object in the batch).
 	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 2 {
-		t.Fatalf("tracker ops for the batch = %d, want 2 (coalesced)", got)
+		t.Fatalf("directory ops for the batch = %d, want 2 (coalesced)", got)
 	}
 }
 
@@ -277,11 +280,10 @@ func TestServeBackpressure(t *testing.T) {
 }
 
 // TestServeChaosDrill runs a fault drill over HTTP: with chaos admin
-// on, failing the overlay root makes operations fail with 503 (the
-// retransmission budget exhausts against a crashed sensor), and
-// recovery restores service.
+// on, failing the overlay root makes operations fail with 503 (their
+// walk would deliver to a down sensor), and recovery restores service.
 func TestServeChaosDrill(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 2, Nodes: 16, Seed: 1, ChaosAdmin: true, MaxAttempts: 2})
+	s, ts := newTestServer(t, Config{Shards: 2, Nodes: 16, Seed: 1, ChaosAdmin: true})
 	if resp := doJSON(t, "POST", ts.URL+"/v1/publish", publishBody(1, 2), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("publish status %d", resp.StatusCode)
 	}
@@ -315,6 +317,121 @@ func TestServeChaosDrill(t *testing.T) {
 	}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/fail/abc", "", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("fail bad id: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeChaosFaultedMoveAtomic is the faulted-move regression test:
+// failing a sensor that hosts a station on a move's insert climb makes
+// the move 503 and apply nothing, so after recovery a query from every
+// sensor answers the pre-move proxy, agreeing with Location — never a
+// stale answer that looks valid. It also pins the goroutine budget: a
+// server costs goroutines per shard, not per shard and sensor.
+func TestServeChaosFaultedMoveAtomic(t *testing.T) {
+	const shards = 2
+	before := runtime.NumGoroutine()
+	big, err := New(Config{Shards: shards, Nodes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := runtime.NumGoroutine() - before
+	if err := big.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if grew > 4*shards {
+		t.Fatalf("New(%d shards, 1024 nodes) started %d goroutines, want O(shards)", shards, grew)
+	}
+
+	s, ts := newTestServer(t, Config{Shards: shards, Nodes: 64, Seed: 1, ChaosAdmin: true})
+	const obj, home = 1, graph.NodeID(0)
+	if resp := doJSON(t, "POST", ts.URL+"/v1/publish", publishBody(obj, int(home)), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish status %d", resp.StatusCode)
+	}
+
+	// Pick a target whose climb passes, above level 0 and below the
+	// level where it meets the published trail, a station hosted on
+	// neither end of the move nor the root.
+	to, victim := graph.NodeID(-1), graph.NodeID(-1)
+	for cand := graph.NodeID(63); cand > home && victim < 0; cand-- {
+		for l := 1; l < s.ov.Height(); l++ {
+			st := s.ov.HomeStation(cand, l)
+			if st == s.ov.HomeStation(home, l) {
+				break
+			}
+			if st.Host != cand && st.Host != home && st.Host != s.Root() {
+				to, victim = cand, st.Host
+				break
+			}
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no climb station off the move's ends and the root on an 8x8 grid")
+	}
+
+	if resp := doJSON(t, "POST", fmt.Sprintf("%s/v1/fail/%d", ts.URL, victim), "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fail drill status %d", resp.StatusCode)
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(obj, int(to)), nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("move %d -> %d through failed sensor %d: status %d, want 503", home, to, victim, resp.StatusCode)
+	}
+	// Client faults deliver nothing, so the outage never masks them.
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"POST", "/v1/publish", publishBody(obj, int(to)), http.StatusConflict},
+		{"POST", "/v1/move", moveBody(obj+1, int(to)), http.StatusNotFound},
+		{"GET", fmt.Sprintf("/v1/query/%d?from=%d", obj+1, to), "", http.StatusNotFound},
+	} {
+		if resp := doJSON(t, tc.method, ts.URL+tc.path, tc.body, nil); resp.StatusCode != tc.want {
+			t.Fatalf("%s %s during the outage: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+	if resp := doJSON(t, "POST", fmt.Sprintf("%s/v1/recover/%d", ts.URL, victim), "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recover drill status %d", resp.StatusCode)
+	}
+
+	expectEverywhere := func(want graph.NodeID) {
+		t.Helper()
+		if loc, ok := s.Location(obj); !ok || loc != want {
+			t.Fatalf("Location = %d,%v, want %d", loc, ok, want)
+		}
+		if err := s.shardFor(obj).dir.CheckInvariants(); err != nil {
+			t.Fatalf("directory invariants: %v", err)
+		}
+		for from := 0; from < s.Graph().N(); from++ {
+			var q queryResponse
+			resp := doJSON(t, "GET", fmt.Sprintf("%s/v1/query/%d?from=%d", ts.URL, obj, from), "", &q)
+			if resp.StatusCode != http.StatusOK || q.Location != int64(want) {
+				t.Fatalf("query from %d: status %d location %d, want 200/%d", from, resp.StatusCode, q.Location, want)
+			}
+		}
+	}
+	expectEverywhere(home)
+
+	// With the sensor back, the same move applies in full.
+	if resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(obj, int(to)), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("move after recovery: status %d", resp.StatusCode)
+	}
+	expectEverywhere(to)
+}
+
+// TestServeOpStatus pins the error-to-status classification: the core
+// sentinels are client faults, a delivery failure is a 503, and anything
+// else is the server's own fault.
+func TestServeOpStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("core: object 1 %w", core.ErrNotPublished), http.StatusNotFound},
+		{fmt.Errorf("core: object 1 %w at node 2", core.ErrAlreadyPublished), http.StatusConflict},
+		{&chaos.DeliveryError{Op: 1, Hop: 2, Attempts: 1, Dest: 3}, http.StatusServiceUnavailable},
+		{fmt.Errorf("shard: %w", &chaos.DeliveryError{Dest: 3}), http.StatusServiceUnavailable},
+		{errors.New("core: descent lost object 1"), http.StatusInternalServerError},
+	} {
+		if got := opStatus(tc.err); got != tc.want {
+			t.Errorf("opStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 
@@ -370,7 +487,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 		}
 	}
 
-	// Per-shard runtime diagnostics ride along under /debug/shard/<i>/.
+	// Per-shard diagnostics ride along under /debug/shard/<i>/.
 	for i := 0; i < 2; i++ {
 		var snap live.Snapshot
 		url := fmt.Sprintf("%s/debug/shard/%d/debug/live", ts.URL, i)
@@ -383,6 +500,15 @@ func TestServeDebugEndpoints(t *testing.T) {
 		if snap.Total.Count == 0 {
 			t.Fatalf("shard %d live count 0", i)
 		}
+	}
+
+	// expvar mounts once, on the server mux itself.
+	var vars map[string]json.RawMessage
+	if resp := doJSON(t, "GET", ts.URL+"/debug/vars", "", &vars); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/vars status %d", resp.StatusCode)
+	}
+	if _, ok := vars["memstats"]; !ok {
+		t.Fatalf("/debug/vars lacks memstats: %d keys", len(vars))
 	}
 }
 
@@ -480,6 +606,57 @@ func TestServeShutdownDrain(t *testing.T) {
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestServeShutdownWaitsForHandlers pins the drain order when Handler
+// is mounted on a server Shutdown does not own: a move handler admitted
+// before the drain began must still get its move applied, so Shutdown
+// may not stop the drain loops while the handler is in flight (it used
+// to, leaving the handler blocked on its ack forever).
+func TestServeShutdownWaitsForHandlers(t *testing.T) {
+	s, err := New(Config{Shards: 1, Nodes: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.shards[0].publish(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	body, feed := io.Pipe()
+	rec := httptest.NewRecorder()
+	handled := make(chan struct{})
+	var g track.Group
+	g.Go(func() {
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/move", body))
+		close(handled)
+	})
+	// The handler is admitted and reading its body once this write lands.
+	if _, err := feed.Write([]byte(`{"object":1,`)); err != nil {
+		t.Fatal(err)
+	}
+	shutdown := make(chan error, 1)
+	g.Go(func() { shutdown <- s.Shutdown(context.Background()) })
+	select {
+	case err := <-shutdown:
+		feed.CloseWithError(io.ErrUnexpectedEOF)
+		g.Wait()
+		t.Fatalf("Shutdown returned (%v) with a move handler in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := feed.Write([]byte(`"to":9}`)); err != nil {
+		t.Fatal(err)
+	}
+	feed.Close()
+	<-handled
+	if err := <-shutdown; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	g.Wait()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("in-flight move: status %d, want 200", rec.Code)
+	}
+	if loc, _ := s.Location(1); loc != 9 {
+		t.Fatalf("in-flight move acked but object at %d, want 9", loc)
 	}
 }
 

@@ -3,10 +3,10 @@ package serve
 import (
 	"sync"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/live"
-	"repro/internal/runtime"
 	"repro/internal/runtime/track"
 )
 
@@ -23,19 +23,26 @@ type moveReq struct {
 type moveResult struct {
 	err error
 	// coalesced reports that this request's position was superseded by a
-	// later queued move of the same object before the tracker saw it —
+	// later queued move of the same object before the directory saw it —
 	// the ack still means "the trail reflects a report at least as new
 	// as yours".
 	coalesced bool
 }
 
-// shard is one partition of the object space: an independent tracker
-// plus the bounded move queue and drain loop in front of it.
+// shard is one partition of the object space: a core.Directory over the
+// server's shared overlay plus the bounded move queue and drain loop in
+// front of it.
 type shard struct {
 	id   int
 	srv  *Server
 	live *live.Recorder
-	tr   *runtime.Tracker
+
+	// mu serializes the shard's ops, so each op's delivery check and
+	// its apply see the same directory state; seq numbers the ops for
+	// DeliveryError reports.
+	mu  sync.Mutex
+	dir *core.Directory
+	seq uint64
 
 	// moveQ is the bounded pending-move queue; a full queue is
 	// backpressure (429), never a blocked handler.
@@ -111,7 +118,7 @@ func (sh *shard) gather(batch []moveReq) []moveReq {
 	}
 }
 
-// applyBatch collapses the batch to one tracker op per object — the
+// applyBatch collapses the batch to one directory op per object — the
 // latest queued position wins, per arrival order — applies those in
 // first-appearance order, then acks every waiter with its group's
 // outcome. Superseded requests are marked coalesced; under the paper's
@@ -137,11 +144,72 @@ func (sh *shard) applyBatch(batch []moveReq) {
 	}
 	for _, group := range groups {
 		winner := group[len(group)-1]
-		err := sh.tr.Move(winner.obj, winner.to)
+		err := sh.move(winner.obj, winner.to)
 		for _, req := range group {
 			req.done <- moveResult{err: err, coalesced: req.to != winner.to}
 		}
 	}
+}
+
+// publish, move and query run one directory op each through do.
+func (sh *shard) publish(o core.ObjectID, at graph.NodeID) error {
+	return sh.do(live.ClassPublish, o, at, func() error { return sh.dir.Publish(o, at) })
+}
+
+func (sh *shard) move(o core.ObjectID, to graph.NodeID) error {
+	return sh.do(live.ClassMove, o, to, func() error { return sh.dir.Move(o, to) })
+}
+
+func (sh *shard) query(from graph.NodeID, o core.ObjectID) (loc graph.NodeID, cost float64, err error) {
+	loc = graph.Undefined
+	err = sh.do(live.ClassQuery, o, from, func() (err error) {
+		loc, cost, err = sh.dir.Query(from, o)
+		return err
+	})
+	return loc, cost, err
+}
+
+// do runs op, an op of class c on o issued at sensor x, under mu unless
+// refused first, timing it into the shard's live recorder from before
+// the lock, so lock wait counts.
+func (sh *shard) do(c live.Class, o core.ObjectID, x graph.NodeID, op func() error) error {
+	st := sh.live.Start()
+	sh.mu.Lock()
+	err := sh.refused(c, o, x)
+	if err == nil {
+		err = op()
+	}
+	sh.mu.Unlock()
+	sh.live.Observe(c, st, int(o), err)
+	return err
+}
+
+// refused returns the *chaos.DeliveryError for an op of class c on o
+// issued at sensor x whose walk would deliver to a down sensor, and nil
+// when the op may apply. The caller holds mu, so the op then applies
+// against the state checked here: a refused op applies nothing.
+// Publishing a tracked object, moving or querying an untracked one, and
+// moving an object to its own proxy end before any delivery, so they
+// are left to the directory to answer.
+func (sh *shard) refused(c live.Class, o core.ObjectID, x graph.NodeID) error {
+	sh.seq++
+	if sh.srv.ndown.Load() == 0 {
+		return nil
+	}
+	at, ok := sh.dir.Location(o)
+	if ok == (c == live.ClassPublish) || (c == live.ClassMove && at == x) {
+		return nil
+	}
+	var err error
+	hop := 0
+	sh.dir.Deliveries(o, x, func(n graph.NodeID) bool {
+		hop++
+		if sh.srv.down[n].Load() {
+			err = &chaos.DeliveryError{Op: sh.seq, Hop: hop, Attempts: 1, Dest: n}
+		}
+		return err == nil
+	})
+	return err
 }
 
 // queueDepth reports how many moves are pending right now (diagnostic).
