@@ -6,7 +6,8 @@
 #   make lint    — just motlint (internal/lint rules over every package);
 #                  also writes motlint.sarif so CI can annotate PRs
 #   make race    — just the -race smoke tier (parallel sweep harness,
-#                  seed-stream splits, goroutine tracker + track.Group)
+#                  seed-stream splits, goroutine tracker + track.Group,
+#                  the striped hierarchy build at GOMAXPROCS 1 vs 4)
 #   make chaos   — just the chaos tier: seeded crash/drop/delay schedules
 #                  on both execution substrates under -race, with recovery
 #                  invariants asserted at quiescence and golden fault-trace
@@ -51,6 +52,9 @@
 #                  cmd/benchdiff — >15% ns/op growth or any allocs/op
 #                  growth on a pinned benchmark fails; benchdiff.md
 #                  holds the delta table CI uploads
+#   make perfbench-test — vet and short-test the perfbench module (the
+#                  repo benchmark, a separate Go module), so a signature
+#                  change in graph, hier or serve cannot break it unnoticed
 #
 # The -race and chaos tiers are intentionally short: they run only the
 # tests that exercise real concurrency and fault injection in the packages
@@ -58,7 +62,7 @@
 
 GO ?= go
 
-RACE_PKGS = ./internal/experiments ./internal/runtime ./internal/runtime/track ./internal/mobility ./internal/graph ./internal/serve
+RACE_PKGS = ./internal/experiments ./internal/runtime ./internal/runtime/track ./internal/mobility ./internal/graph ./internal/hier ./internal/serve
 RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle'
 
 CHAOS_PKGS = ./internal/chaos ./internal/core ./internal/sim ./internal/runtime ./internal/experiments ./internal/serve .
@@ -71,7 +75,7 @@ CHURN_RUN  = 'TestChurn|TestGoldenChurn|TestStaleObjects|TestHierRepair|TestExcl
 # above; raise the floor as coverage grows, never lower it to pass).
 COVER_MIN = 79
 
-.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate
+.PHONY: check fmt vet build test race chaos churn scale soak lint cover bench bench-json bench-gate perfbench-test
 
 check: fmt vet build test race chaos churn scale bench lint
 
@@ -126,3 +130,6 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/motsim -benchjson BENCH_current.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json -current BENCH_current.json -md benchdiff.md
+
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && $(GO) test -short ./...

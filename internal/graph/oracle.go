@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -328,7 +330,7 @@ func (g *Graph) nearestInto(src NodeID, k int, dist []float64, touched *[]NodeID
 	for _, u := range *touched {
 		dist[u] = Inf
 	}
-	sort.Slice(settled, func(i, j int) bool { return settled[i].Node < settled[j].Node })
+	slices.SortFunc(settled, byNode)
 	return settled, radius
 }
 
@@ -361,7 +363,7 @@ func (g *Graph) withinInto(src NodeID, r float64, dist []float64, touched *[]Nod
 	for _, u := range *touched {
 		dist[u] = Inf
 	}
-	sort.Slice(settled, func(i, j int) bool { return settled[i].Node < settled[j].Node })
+	slices.SortFunc(settled, byNode)
 	return settled
 }
 
@@ -586,13 +588,22 @@ func (o *Oracle) Diameter() float64 {
 	return o.diam
 }
 
-// EstimateDoubling is Metric.DoublingEstimate generalized to any
-// DistanceOracle: the max over sampled centers and doubling radii of
-// log2(|B(u,2r)|/|B(u,r)|). Ball sizes are exact on every implementation,
-// so the estimate matches the exact metric's; on an *Oracle, Diameter is
-// its ≤2× upper bound, which only extends the radius sweep (adding
-// iterations where the ball already covers the component, which the
-// break below skips). samples <= 0 probes every node.
+// byNode orders neighbors by ascending node ID. IDs within one ball are
+// distinct, so the order is total and any sort yields the same slice.
+func byNode(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) }
+
+// EstimateDoubling is the doubling-dimension estimate behind
+// Metric.DoublingEstimate, over any DistanceOracle: the max over sampled
+// centers and doubling radii of log2(|B(u,2r)|/|B(u,r)|). Ball sizes are
+// exact on every implementation, so the estimate matches the exact
+// metric's; on an *Oracle, Diameter is its ≤2× upper bound, which only
+// extends the radius sweep (adding iterations where the ball already
+// covers the component, which doublingAt's break skips). samples <= 0
+// probes every node.
+//
+// The centers are striped across GOMAXPROCS workers, each keeping its own
+// max; a max does not depend on the order it is taken in, so the result
+// is identical at any worker count.
 func EstimateDoubling(o DistanceOracle, samples int) float64 {
 	n := o.Graph().N()
 	if n == 0 {
@@ -605,20 +616,42 @@ func EstimateDoubling(o DistanceOracle, samples int) float64 {
 	if step == 0 {
 		step = 1
 	}
-	maxRho := 0.0
 	diam := o.Diameter()
-	for u := 0; u < n; u += step {
-		for r := 1.0; r <= diam && r < Inf; r *= 2 {
-			b1 := o.BallSize(NodeID(u), r)
-			b2 := o.BallSize(NodeID(u), 2*r)
-			if b1 > 0 && b2 > b1 {
-				if rho := math.Log2(float64(b2) / float64(b1)); rho > maxRho {
-					maxRho = rho
+	centers := (n + step - 1) / step
+	workers := runtime.GOMAXPROCS(0)
+	if workers > centers {
+		workers = centers
+	}
+	maxRho := make([]float64, workers)
+	var pool track.Group
+	for w := 0; w < workers; w++ {
+		pool.Go(func() {
+			for i := w; i < centers; i += workers {
+				if rho := doublingAt(o, NodeID(i*step), n, diam); rho > maxRho[w] {
+					maxRho[w] = rho
 				}
 			}
-			if b1 == n {
-				break
+		})
+	}
+	pool.Wait()
+	return slices.Max(maxRho)
+}
+
+// doublingAt is the max of log2(|B(u,2r)|/|B(u,r)|) over the doubling
+// radii r = 1, 2, 4, … up to diam, stopping once the ball covers all n
+// nodes (doubling r cannot grow it further).
+func doublingAt(o DistanceOracle, u NodeID, n int, diam float64) float64 {
+	maxRho := 0.0
+	for r := 1.0; r <= diam && r < Inf; r *= 2 {
+		b1 := o.BallSize(u, r)
+		b2 := o.BallSize(u, 2*r)
+		if b1 > 0 && b2 > b1 {
+			if rho := math.Log2(float64(b2) / float64(b1)); rho > maxRho {
+				maxRho = rho
 			}
+		}
+		if b1 == n {
+			break
 		}
 	}
 	return maxRho

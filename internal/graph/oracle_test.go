@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -447,5 +448,29 @@ func TestOracleHotPathZeroAllocs(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("oracle Dist/BallSize allocate %v per op, want 0", allocs)
+	}
+}
+
+// TestParallelDoublingEstimate pins the striped doubling estimate to a
+// serial max over every sampled center, at one worker and at four, on
+// both implementations.
+func TestParallelDoublingEstimate(t *testing.T) {
+	for _, fam := range oracleFamilies() {
+		g := fam.g
+		for _, o := range []DistanceOracle{NewMetric(g), smallOracle(g, 11, 2)} {
+			n, diam := g.N(), o.Diameter()
+			want := 0.0
+			for u := 0; u < n; u++ {
+				want = math.Max(want, doublingAt(o, NodeID(u), n, diam))
+			}
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := EstimateDoubling(o, 0)
+				runtime.GOMAXPROCS(prev)
+				if got != want {
+					t.Errorf("%s %T GOMAXPROCS=%d: EstimateDoubling = %v, serial max = %v", fam.name, o, procs, got, want)
+				}
+			}
+		}
 	}
 }

@@ -433,32 +433,5 @@ func (m *Metric) Stretch() float64 { return 1 }
 // ball covers the whole graph or the radius leaves the finite range, so
 // the estimate terminates (and ignores the unreachable remainder).
 func (m *Metric) DoublingEstimate(samples int) float64 {
-	n := m.g.n
-	if n == 0 {
-		return 0
-	}
-	if samples <= 0 || samples > n {
-		samples = n
-	}
-	step := n / samples
-	if step == 0 {
-		step = 1
-	}
-	maxRho := 0.0
-	diam := m.Diameter()
-	for u := 0; u < n; u += step {
-		for r := 1.0; r <= diam && !math.IsInf(r, 1); r *= 2 {
-			b1 := m.BallSize(NodeID(u), r)
-			b2 := m.BallSize(NodeID(u), 2*r)
-			if b1 > 0 && b2 > b1 {
-				if rho := math.Log2(float64(b2) / float64(b1)); rho > maxRho {
-					maxRho = rho
-				}
-			}
-			if b1 == n {
-				break // the ball already covers every node; doubling r cannot grow it
-			}
-		}
-	}
-	return maxRho
+	return EstimateDoubling(m, samples)
 }

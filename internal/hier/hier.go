@@ -15,12 +15,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mis"
 	"repro/internal/overlay"
+	"repro/internal/runtime/track"
 )
 
 // Config controls HS construction.
@@ -173,19 +174,13 @@ func BuildExcluding(g *graph.Graph, m graph.DistanceOracle, cfg Config, excluded
 	hs.defaultParent = make([]map[graph.NodeID]graph.NodeID, hs.h)
 	hs.parentSet = make([]map[graph.NodeID][]graph.NodeID, hs.h)
 	for l := 0; l < hs.h; l++ {
-		cur, up := hs.levels[l], hs.levels[l+1]
-		dp := make(map[graph.NodeID]graph.NodeID, len(cur))
-		ps := make(map[graph.NodeID][]graph.NodeID, len(cur))
+		up := hs.levels[l+1]
 		for _, p := range up {
 			member[p] = true
 		}
-		for _, u := range cur {
-			if err := hs.assignParentsInto(u, l, member, dp, ps); err != nil {
-				return nil, err
-			}
+		if err := hs.assignLevelParents(l, member); err != nil {
+			return nil, err
 		}
-		hs.defaultParent[l] = dp
-		hs.parentSet[l] = ps
 		for _, p := range up {
 			member[p] = false
 		}
@@ -196,11 +191,23 @@ func BuildExcluding(g *graph.Graph, m graph.DistanceOracle, cfg Config, excluded
 
 // assignParentsInto computes the default parent and parent set of u in
 // V_(l+1) (the nodes flagged in member) and stores them into dp and ps,
-// replacing any previous assignment. MIS maximality puts the default
-// parent within 2^(l+1), so the 4*2^(l+1) ball contains it; Near is exact
-// and ID-ascending, matching the old sorted row scan over the upper level
-// bit for bit.
+// replacing any previous assignment.
 func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp map[graph.NodeID]graph.NodeID, ps map[graph.NodeID][]graph.NodeID) error {
+	best, set, err := hs.parentsOf(u, l, member)
+	if err != nil {
+		return err
+	}
+	dp[u] = best
+	ps[u] = set
+	return nil
+}
+
+// parentsOf returns the default parent and the parent set of u in V_(l+1)
+// (the nodes flagged in member). MIS maximality puts the default parent
+// within 2^(l+1), so the 4*2^(l+1) ball contains it; Near is exact and
+// ID-ascending, so the set comes out ID-sorted and holds the default
+// parent. It only reads the hierarchy, so calls may run concurrently.
+func (hs *Hierarchy) parentsOf(u graph.NodeID, l int, member []bool) (graph.NodeID, []graph.NodeID, error) {
 	psRadius := 4 * math.Pow(2, float64(l+1))
 	best, bestD := graph.Undefined, math.Inf(1)
 	var set []graph.NodeID
@@ -215,22 +222,63 @@ func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp 
 		set = append(set, p)
 	}
 	if best == graph.Undefined {
-		return fmt.Errorf("hier: node %d has no level-%d parent", u, l+1)
+		return graph.Undefined, nil, fmt.Errorf("hier: node %d has no level-%d parent", u, l+1)
 	}
-	dp[u] = best
-	found := false
-	for _, p := range set {
-		if p == best {
-			found = true
-			break
+	return best, set, nil
+}
+
+// assignLevelParents fills defaultParent[l] and parentSet[l] for every
+// live node of V_l, with V_(l+1) flagged in member. The per-node lookups
+// are striped across workers into per-index slots and merged serially in
+// V_l order, so the maps are identical at any worker count and the error
+// returned is the first one in V_l order, as in a serial sweep.
+func (hs *Hierarchy) assignLevelParents(l int, member []bool) error {
+	cur := hs.levels[l]
+	type parents struct {
+		dp  graph.NodeID
+		ps  []graph.NodeID
+		err error
+	}
+	out := make([]parents, len(cur))
+	stripe(len(cur), func(i int) {
+		if u := cur[i]; !hs.isExcluded(u) {
+			out[i].dp, out[i].ps, out[i].err = hs.parentsOf(u, l, member)
 		}
+	})
+	dp := make(map[graph.NodeID]graph.NodeID, len(cur))
+	ps := make(map[graph.NodeID][]graph.NodeID, len(cur))
+	for i, u := range cur {
+		if hs.isExcluded(u) {
+			continue
+		}
+		if out[i].err != nil {
+			return out[i].err
+		}
+		dp[u] = out[i].dp
+		ps[u] = out[i].ps
 	}
-	if !found {
-		set = append(set, best)
-	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	ps[u] = set
+	hs.defaultParent[l] = dp
+	hs.parentSet[l] = ps
 	return nil
+}
+
+// stripe calls fn(i) for every i in [0, n), index i on worker i mod W
+// with W = min(GOMAXPROCS, n). fn must write only to state owned by index
+// i, so the outcome does not depend on W.
+func stripe(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	var pool track.Group
+	for w := 0; w < workers; w++ {
+		pool.Go(func() {
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		})
+	}
+	pool.Wait()
 }
 
 // deriveSigma fixes the special-parent offset. Only the theoretical
@@ -256,19 +304,25 @@ func levelAdjacency(m graph.DistanceOracle, cur []graph.NodeID, radius float64, 
 	for _, u := range cur {
 		member[u] = true
 	}
-	// Precompute neighbor lists once; MIS calls adj repeatedly.
-	idx := make(map[graph.NodeID][]graph.NodeID, len(cur))
-	for _, u := range cur {
+	// Precompute neighbor lists once (striped; each worker writes only its
+	// own slots); MIS calls adj repeatedly.
+	lists := make([][]graph.NodeID, len(cur))
+	stripe(len(cur), func(i int) {
+		u := cur[i]
 		var nbr []graph.NodeID
 		for _, nb := range m.Near(u, radius) {
 			if nb.Node != u && nb.D < radius && member[nb.Node] {
 				nbr = append(nbr, nb.Node)
 			}
 		}
-		idx[u] = nbr
-	}
+		lists[i] = nbr
+	})
 	for _, u := range cur {
 		member[u] = false
+	}
+	idx := make(map[graph.NodeID][]graph.NodeID, len(cur))
+	for i, u := range cur {
+		idx[u] = lists[i]
 	}
 	return func(u graph.NodeID) []graph.NodeID { return idx[u] }
 }
