@@ -54,7 +54,11 @@
 #                  holds the delta table CI uploads
 #   make perfbench-test — vet and short-test the perfbench module (the
 #                  repo benchmark, a separate Go module), so a signature
-#                  change in graph, hier or serve cannot break it unnoticed
+#                  change in graph, hier or serve cannot break it unnoticed,
+#                  then run its reproduce workload for one second: it exits
+#                  non-zero unless the core, sim and runtime sweep tables
+#                  equal perfbench/expected.txt, the only checked-in pin of
+#                  that output
 #
 # The -race and chaos tiers are intentionally short: they run only the
 # tests that exercise real concurrency and fault injection in the packages
@@ -133,3 +137,4 @@ bench-gate:
 
 perfbench-test:
 	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && $(GO) test -short ./...
+	bash perfbench/run.sh --workload reproduce --seed 1 --seconds 1 --trace 0

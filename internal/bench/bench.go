@@ -328,7 +328,7 @@ func runtimeOps(name string, lrec *live.Recorder) Result {
 	if err != nil {
 		panic(err)
 	}
-	tr := motruntime.NewLive(g, hs, nil, nil, lrec)
+	tr := motruntime.NewWith(g, hs, motruntime.Config{Live: lrec})
 	defer tr.Stop()
 	if err := tr.Publish(1, 0); err != nil {
 		panic(err)

@@ -4,9 +4,13 @@
 // (insert + delete), and query operations over them, with communication-cost
 // metering against the optimal costs.
 //
-// The engine in this package executes operations one by one (the paper's
-// "one by one case", §4.1.1); the discrete-event simulator in internal/sim
-// drives the same state machine for the concurrent case.
+// The station state lives in one place, Store (store.go): the DL and SDL
+// entry formats and the per-station steps stamp, probe, erase and wipe,
+// plus the trail walk and the invariant check. Directory drives one Store
+// one operation at a time (the paper's "one by one case", §4.1.1); the
+// discrete-event simulator in internal/sim drives a Store for the
+// concurrent case, and the goroutine runtime in internal/runtime gives
+// each node goroutine its own.
 package core
 
 import (
@@ -81,40 +85,6 @@ type Config struct {
 	ExactSampleSeed int64
 }
 
-// slotKey identifies a directory slot: one station of the overlay.
-type slotKey struct {
-	level int
-	key   int64
-}
-
-// dlEntry is one object's record in a station's detection list.
-type dlEntry struct {
-	// child is the next station downward on the object's trail; hasChild
-	// is false at the bottom-level proxy slot.
-	child    overlay.Station
-	hasChild bool
-	// sp is the special parent registered for this entry; spOK is false
-	// near the root where special parents are undefined.
-	sp   overlay.Station
-	spOK bool
-	// version is the move sequence number that stamped this entry.
-	version uint64
-}
-
-// sdlEntry is one object's record in a station's special detection list: a
-// downward shortcut to the special child that registered it.
-type sdlEntry struct {
-	child   overlay.Station
-	version uint64
-}
-
-// slot is the mutable directory state of one station.
-type slot struct {
-	station overlay.Station
-	dl      map[ObjectID]dlEntry
-	sdl     map[ObjectID]sdlEntry
-}
-
 // Directory is the MOT tracking structure over an overlay.
 type Directory struct {
 	mu  sync.Mutex
@@ -122,7 +92,7 @@ type Directory struct {
 	m   graph.DistanceOracle
 	cfg Config
 
-	slots map[slotKey]*slot
+	store Store
 	loc   map[ObjectID]graph.NodeID // ground-truth proxy of each object
 	ver   map[ObjectID]uint64       // move sequence numbers
 
@@ -157,12 +127,11 @@ func New(ov overlay.Overlay, cfg Config) *Directory {
 		cfg.LBThreshold = 0 // distribute unconditionally
 	}
 	d := &Directory{
-		ov:    ov,
-		m:     ov.Metric(),
-		cfg:   cfg,
-		slots: make(map[slotKey]*slot),
-		loc:   make(map[ObjectID]graph.NodeID),
-		ver:   make(map[ObjectID]uint64),
+		ov:  ov,
+		m:   ov.Metric(),
+		cfg: cfg,
+		loc: make(map[ObjectID]graph.NodeID),
+		ver: make(map[ObjectID]uint64),
 	}
 	if cfg.ExactSampleEvery > 0 {
 		d.sampler = newExactSampler(d.m.Graph())
@@ -212,32 +181,8 @@ func (d *Directory) Objects() []ObjectID {
 	return out
 }
 
-func (d *Directory) slot(st overlay.Station) *slot {
-	k := slotKey{level: st.Level, key: st.Key}
-	s, ok := d.slots[k]
-	if !ok {
-		//motlint:ignore hotalloc lazy one-time materialization of a station's slot
-		s = &slot{station: st, dl: make(map[ObjectID]dlEntry), sdl: make(map[ObjectID]sdlEntry)}
-		d.slots[k] = s
-	}
-	return s
-}
-
-func (d *Directory) peek(st overlay.Station) (*slot, bool) {
-	s, ok := d.slots[slotKey{level: st.Level, key: st.Key}]
-	return s, ok
-}
-
-func (d *Directory) holds(st overlay.Station, o ObjectID) bool {
-	if s, ok := d.peek(st); ok {
-		_, has := s.dl[o]
-		return has
-	}
-	return false
-}
-
 func (d *Directory) String() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), len(d.slots))
+	return fmt.Sprintf("mot.Directory{objects=%d slots=%d}", len(d.loc), len(d.store.slots))
 }

@@ -34,7 +34,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	t.Run("root entry removed", func(t *testing.T) {
 		d := setup()
 		root := d.ov.Root()
-		s, _ := d.peek(root)
+		s, _ := d.store.peek(root)
 		delete(s.dl, 1)
 		if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "root") {
 			t.Fatalf("missed root corruption: %v", err)
@@ -45,9 +45,9 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 		d := setup()
 		// Remove the entry one level below the root.
 		root := d.ov.Root()
-		s, _ := d.peek(root)
-		child := s.dl[1].child
-		cs, _ := d.peek(child)
+		s, _ := d.store.peek(root)
+		child := s.dl[1].Child
+		cs, _ := d.store.peek(child)
 		delete(cs.dl, 1)
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed broken trail")
@@ -58,7 +58,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 		d := setup()
 		// Stamp the object at a station that is not on its trail.
 		orphan := overlay.Station{Level: 1, Key: 999, Host: 5}
-		d.slot(orphan).dl[1] = dlEntry{hasChild: false}
+		d.store.slot(orphan).dl[1] = Entry{}
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed orphan entry")
 		}
@@ -68,7 +68,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 		d := setup()
 		ghost := overlay.Station{Level: 1, Key: 777, Host: 3}
 		sp := d.ov.Root()
-		d.slot(sp).sdl[1] = sdlEntry{child: ghost}
+		d.store.slot(sp).sdl = map[ObjectID]overlay.Station{1: ghost}
 		if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "SDL") {
 			t.Fatalf("missed stale SDL: %v", err)
 		}
@@ -85,11 +85,11 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	t.Run("trail level skip", func(t *testing.T) {
 		d := setup()
 		root := d.ov.Root()
-		s, _ := d.peek(root)
+		s, _ := d.store.peek(root)
 		e := s.dl[1]
 		// Point the root two levels down directly.
-		down, _ := d.peek(e.child)
-		e.child = down.dl[1].child
+		down, _ := d.store.peek(e.Child)
+		e.Child = down.dl[1].Child
 		s.dl[1] = e
 		if err := d.CheckInvariants(); err == nil {
 			t.Fatal("missed level skip")
@@ -106,9 +106,9 @@ func TestQueryReportsBrokenTrail(t *testing.T) {
 	}
 	// Sever the trail below the root.
 	root := d.ov.Root()
-	s, _ := d.peek(root)
-	child := s.dl[1].child
-	cs, _ := d.peek(child)
+	s, _ := d.store.peek(root)
+	child := s.dl[1].Child
+	cs, _ := d.store.peek(child)
 	delete(cs.dl, 1)
 	if _, _, err := d.Query(30, 1); err == nil {
 		t.Fatal("query answered over a severed trail")
@@ -123,10 +123,7 @@ func TestMoveReportsMissingTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Erase every trace of the object.
-	for _, s := range d.slots {
-		delete(s.dl, 1)
-		delete(s.sdl, 1)
-	}
+	d.store.Wipe(1)
 	if err := d.Move(1, 4); err == nil {
 		t.Fatal("move over an erased trail succeeded")
 	}

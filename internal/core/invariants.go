@@ -1,73 +1,12 @@
 package core
 
-import (
-	"fmt"
-)
-
-// CheckInvariants validates the directory's global consistency; it is used
-// by tests and by the simulators after quiescence. For every published
-// object it checks that
-//
-//   - the root station holds the object,
-//   - following child groups downward from the root reaches exactly one
-//     bottom-level station, and that station is the object's proxy,
-//   - every station holding the object is reachable from the root through
-//     the group/child-group structure (no orphaned detection-list entries),
-//   - every SDL shortcut points at a station that still holds the object.
+// CheckInvariants validates the directory's global consistency (see
+// Store.Check); it is used by tests and by the simulators after
+// quiescence.
 func (d *Directory) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for o, proxy := range d.loc {
-		root := d.ov.Root()
-		if !d.holds(root, o) {
-			return fmt.Errorf("core: invariant: root does not hold object %d", o)
-		}
-		reach := map[slotKey]bool{}
-		st := root
-		for {
-			k := slotKey{st.Level, st.Key}
-			if reach[k] {
-				return fmt.Errorf("core: invariant: trail for object %d cycles at %v", o, st)
-			}
-			reach[k] = true
-			s, ok := d.peek(st)
-			if !ok {
-				return fmt.Errorf("core: invariant: trail station %v has no slot for object %d", st, o)
-			}
-			e, has := s.dl[o]
-			if !has {
-				return fmt.Errorf("core: invariant: trail station %v lost object %d", st, o)
-			}
-			if !e.hasChild {
-				if st.Level != 0 {
-					return fmt.Errorf("core: invariant: trail for object %d ends above level 0 at %v", o, st)
-				}
-				if st.Host != proxy {
-					return fmt.Errorf("core: invariant: object %d trail ends at %d, proxy is %d", o, st.Host, proxy)
-				}
-				break
-			}
-			if e.child.Level != st.Level-1 {
-				return fmt.Errorf("core: invariant: trail for object %d skips levels at %v -> %v", o, st, e.child)
-			}
-			st = e.child
-		}
-		// No orphans: every holder must be on the trail.
-		for k, s := range d.slots {
-			if _, has := s.dl[o]; has && !reach[k] {
-				return fmt.Errorf("core: invariant: orphaned entry for object %d at %v", o, s.station)
-			}
-		}
-	}
-	// SDL shortcuts point at live holders.
-	for _, s := range d.slots {
-		for o, se := range s.sdl {
-			if !d.holds(se.child, o) {
-				return fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", s.station, se.child, o)
-			}
-		}
-	}
-	return nil
+	return d.store.Check(d.ov.Root(), d.loc)
 }
 
 // LoadByNode returns, for each physical node 0..n-1, the number of object
@@ -78,7 +17,7 @@ func (d *Directory) LoadByNode(n int) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	counts := make([]int, n)
-	for _, s := range d.slots {
+	for _, s := range d.store.slots {
 		spread := d.distributed(s.station)
 		bump := func(o ObjectID) {
 			host := s.station.Host
@@ -103,16 +42,12 @@ func (d *Directory) LoadByNode(n int) []int {
 func (d *Directory) SlotCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.slots)
+	return len(d.store.slots)
 }
 
 // EntryCount returns the total number of DL and SDL entries.
 func (d *Directory) EntryCount() (dl, sdl int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, s := range d.slots {
-		dl += len(s.dl)
-		sdl += len(s.sdl)
-	}
-	return dl, sdl
+	return d.store.Count()
 }

@@ -88,7 +88,7 @@ func (d *Directory) Move(o ObjectID, to graph.NodeID) error {
 	cost += d.stampHome(to, path, 0, o, ver)
 
 	var peak overlay.Station
-	var oldEntry dlEntry
+	var oldEntry Entry
 	found := false
 	for l := 1; l < len(path) && !found; l++ {
 		lvl := cost
@@ -99,12 +99,10 @@ func (d *Directory) Move(o ObjectID, to graph.NodeID) error {
 			if found {
 				continue
 			}
-			if s, ok := d.peek(st); ok {
-				if e, has := s.dl[o]; has {
-					found, peak, oldEntry = true, st, e
-					d.obsEvent(obs.EvPeak, st.Level, st.Host, 0)
-					cost += d.touch(st, o) // read the distributed entry
-				}
+			if e, has := d.store.Get(st, o); has {
+				found, peak, oldEntry = true, st, e
+				d.obsEvent(obs.EvPeak, st.Level, st.Host, 0)
+				cost += d.touch(st, o) // read the distributed entry
 			}
 		}
 		d.obsEvent(obs.EvHop, l, prev.Host, cost-lvl)
@@ -119,32 +117,27 @@ func (d *Directory) Move(o ObjectID, to graph.NodeID) error {
 	}
 
 	// Repoint the peak into the new chain.
-	cost += d.repoint(to, path, peak, o, ver)
+	cost += d.stamp(to, path, peak.Level, peak, o, ver)
 
 	// Delete the old trail downward from the peak's previous pointer.
-	if !oldEntry.hasChild {
+	if !oldEntry.HasChild {
 		return fmt.Errorf("core: peak entry for object %d at %v has no child", o, peak)
 	}
-	cur := oldEntry.child
+	cur := oldEntry.Child
 	pos := prev.Host
 	for {
 		cost += d.dist(pos, cur.Host)
 		pos = cur.Host
 		d.obsVisit(cur)
 		cost += d.touch(cur, o)
-		s, ok := d.peek(cur)
+		e, ok := d.erase(cur, o)
 		if !ok {
 			return fmt.Errorf("core: delete for object %d lost the trail at %v", o, cur)
 		}
-		e, has := s.dl[o]
-		if !has {
-			return fmt.Errorf("core: delete for object %d lost the trail at %v", o, cur)
-		}
-		d.removeEntry(cur, o)
-		if !e.hasChild {
+		if !e.HasChild {
 			break // old proxy's bottom-level slot erased
 		}
-		cur = e.child
+		cur = e.Child
 	}
 
 	d.loc[o] = to
@@ -206,16 +199,15 @@ func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, Qu
 			if hitDL || hitSDL {
 				continue
 			}
-			if s, ok := d.peek(st); ok {
-				if _, has := s.dl[o]; has {
-					hitDL, at = true, st
-					d.obsEvent(obs.EvPeak, st.Level, st.Host, 0)
-					cost += d.touch(st, o) // read the distributed entry
-				} else if se, has := s.sdl[o]; has {
-					hitSDL, at, sdlChild = true, st, se.child
-					d.obsEvent(obs.EvSDL, st.Level, st.Host, 0)
-					cost += d.touch(st, o)
-				}
+			switch hit, child := d.store.Probe(st, o); hit {
+			case HitDL:
+				hitDL, at = true, st
+				d.obsEvent(obs.EvPeak, st.Level, st.Host, 0)
+				cost += d.touch(st, o) // read the distributed entry
+			case HitSDL:
+				hitSDL, at, sdlChild = true, st, child
+				d.obsEvent(obs.EvSDL, st.Level, st.Host, 0)
+				cost += d.touch(st, o)
 			}
 		}
 		d.obsEvent(obs.EvHop, l, prev.Host, cost-lvl)
@@ -232,7 +224,7 @@ func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, Qu
 		cur = sdlChild
 		d.obsVisit(cur)
 		cost += d.touch(cur, o)
-		if !d.holds(cur, o) {
+		if _, ok := d.store.Get(cur, o); !ok {
 			trace.Cost = cost
 			d.obsFinish(cost)
 			return graph.Undefined, trace, fmt.Errorf("core: stale SDL shortcut for object %d at %v", o, at)
@@ -240,23 +232,17 @@ func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, Qu
 	}
 
 	for {
-		s, ok := d.peek(cur)
+		e, ok := d.store.Get(cur, o)
 		if !ok {
 			trace.Cost = cost
 			d.obsFinish(cost)
 			return graph.Undefined, trace, fmt.Errorf("core: descent lost object %d at %v", o, cur)
 		}
-		e, has := s.dl[o]
-		if !has {
-			trace.Cost = cost
-			d.obsFinish(cost)
-			return graph.Undefined, trace, fmt.Errorf("core: descent lost object %d at %v", o, cur)
-		}
-		if !e.hasChild {
+		if !e.HasChild {
 			break // bottom-level proxy slot
 		}
-		cost += d.dist(cur.Host, e.child.Host)
-		cur = e.child
+		cost += d.dist(cur.Host, e.Child.Host)
+		cur = e.Child
 		d.obsVisit(cur)
 		cost += d.touch(cur, o)
 	}
@@ -282,82 +268,38 @@ func (d *Directory) QueryTraced(from graph.NodeID, o ObjectID) (graph.NodeID, Qu
 // down at the home station one level below, and registers the special
 // parent. It returns the placement routing surcharge.
 func (d *Directory) stampHome(owner graph.NodeID, path overlay.Path, l int, o ObjectID, ver uint64) float64 {
-	st := d.ov.HomeStation(owner, l)
-	e := dlEntry{version: ver}
+	return d.stamp(owner, path, l, d.ov.HomeStation(owner, l), o, ver)
+}
+
+// stamp writes o's entry at st, the station of path level l, pointing down
+// into owner's home chain, and accounts the special-parent registration.
+// The insert repoints its peak with it.
+func (d *Directory) stamp(owner graph.NodeID, path overlay.Path, l int, st overlay.Station, o ObjectID, ver uint64) float64 {
+	var child overlay.Station
 	if l > 0 {
-		e.child = d.ov.HomeStation(owner, l-1)
-		e.hasChild = true
+		child = d.ov.HomeStation(owner, l-1)
 	}
-	return d.install(st, path, l, o, e)
-}
-
-// repoint redirects the peak station's entry into the new home chain one
-// level below the peak.
-func (d *Directory) repoint(owner graph.NodeID, path overlay.Path, peak overlay.Station, o ObjectID, ver uint64) float64 {
-	e := dlEntry{version: ver}
-	if peak.Level > 0 {
-		e.child = d.ov.HomeStation(owner, peak.Level-1)
-		e.hasChild = true
-	}
-	return d.install(peak, path, peak.Level, o, e)
-}
-
-// install writes the entry at st, replacing any previous registration, and
-// registers the special parent chosen from the stamping path.
-func (d *Directory) install(st overlay.Station, path overlay.Path, l int, o ObjectID, e dlEntry) float64 {
-	idx := 0
-	for i, cand := range path[l] {
-		if cand == st {
-			idx = i
-			break
-		}
-	}
-	sp, spOK := overlay.SpecialParent(path, l, idx, d.ov.SpecialOffset())
-	e.sp, e.spOK = sp, spOK
-	s := d.slot(st)
-	if old, ok := s.dl[o]; ok && old.spOK {
-		d.removeSDL(old.sp, st, o)
-	}
-	s.dl[o] = e
+	e := d.store.Stamp(path, l, st, child, o, ver, d.ov.SpecialOffset())
 	d.obsEvent(obs.EvStamp, l, st.Host, 0)
-	if spOK {
-		d.slot(sp).sdl[o] = sdlEntry{child: st, version: e.version}
-		d.addSpecialCost(d.m.Dist(st.Host, sp.Host))
-		d.obsEvent(obs.EvSDL, sp.Level, sp.Host, d.m.Dist(st.Host, sp.Host))
+	if e.SPOK {
+		c := d.m.Dist(st.Host, e.SP.Host)
+		d.addSpecialCost(c)
+		d.obsEvent(obs.EvSDL, e.SP.Level, e.SP.Host, c)
 	}
 	return d.touch(st, o)
 }
 
-// removeEntry erases o from the detection list at st and cleans up the
-// corresponding SDL registration.
-func (d *Directory) removeEntry(st overlay.Station, o ObjectID) {
-	s, ok := d.peek(st)
+// erase deletes o's entry at st and accounts the SDL cleanup message.
+func (d *Directory) erase(st overlay.Station, o ObjectID) (Entry, bool) {
+	e, ok := d.store.Erase(st, o)
 	if !ok {
-		return
+		return e, false
 	}
-	e, has := s.dl[o]
-	if !has {
-		return
-	}
-	delete(s.dl, o)
 	d.obsEvent(obs.EvWipe, st.Level, st.Host, 0)
-	if e.spOK {
-		d.removeSDL(e.sp, st, o)
-		d.addSpecialCost(d.m.Dist(st.Host, e.sp.Host))
+	if e.SPOK {
+		d.addSpecialCost(d.m.Dist(st.Host, e.SP.Host))
 	}
-}
-
-// removeSDL deletes the SDL entry for o at sp if it was registered by
-// child; registrations can be overwritten by newer fragments of the same
-// object's trail, in which case the stale cleanup is a no-op.
-func (d *Directory) removeSDL(sp, child overlay.Station, o ObjectID) {
-	s, ok := d.peek(sp)
-	if !ok {
-		return
-	}
-	if se, has := s.sdl[o]; has && se.child == child {
-		delete(s.sdl, o)
-	}
+	return e, true
 }
 
 // touch accounts the intra-cluster routing surcharge for accessing the
@@ -384,7 +326,7 @@ func (d *Directory) distributed(st overlay.Station) bool {
 	if _, host := d.cfg.Placement.(HostPlacement); host {
 		return false
 	}
-	s, ok := d.peek(st)
+	s, ok := d.store.peek(st)
 	return ok && len(s.dl) >= d.cfg.LBThreshold
 }
 

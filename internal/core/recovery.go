@@ -17,31 +17,6 @@ import (
 // Recovery message cost is metered separately (CostMeter.RecoveryCost) so
 // fault-free cost ratios stay comparable.
 
-// sortedSlotKeys returns the materialized slot keys in (level, key) order,
-// for deterministic sweeps over the slot map.
-func (d *Directory) sortedSlotKeys() []slotKey {
-	keys := make([]slotKey, 0, len(d.slots))
-	for k := range d.slots {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].key < keys[j].key
-	})
-	return keys
-}
-
-// wipe erases every DL and SDL record of o. Deletions commute, so the sweep
-// order is irrelevant; callers re-stamp afterwards if the object lives on.
-func (d *Directory) wipe(o ObjectID) {
-	for _, s := range d.slots {
-		delete(s.dl, o)
-		delete(s.sdl, o)
-	}
-}
-
 // Unpublish removes object o from the directory: its trail is erased from
 // the root down to the proxy (charged as one recovery walk) and its
 // ground-truth record dropped. This is the "sensor leave / object retired"
@@ -60,24 +35,16 @@ func (d *Directory) Unpublish(o ObjectID) error {
 		cost += d.m.Dist(pos, st.Host)
 		pos = st.Host
 		d.obsVisit(st)
-		s, ok := d.peek(st)
-		if !ok {
+		e, ok := d.erase(st, o)
+		if !ok || !e.HasChild {
 			break
 		}
-		e, has := s.dl[o]
-		if !has {
-			break
-		}
-		d.removeEntry(st, o)
-		if !e.hasChild {
-			break
-		}
-		st = e.child
+		st = e.Child
 	}
 	// The trailing defensive wipe iterates the slot map, so it must stay
 	// silent — one aggregate event marks it instead.
 	d.obsEvent(obs.EvWipe, -1, pos, 0)
-	d.wipe(o) // defensive: a damaged trail may have left detached entries
+	d.store.Wipe(o) // defensive: a damaged trail may have left detached entries
 	delete(d.loc, o)
 	delete(d.ver, o)
 	d.meter.RecoveryCost += cost
@@ -95,8 +62,7 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	damaged := map[ObjectID]bool{}
-	for _, k := range d.sortedSlotKeys() {
-		s := d.slots[k]
+	for _, s := range d.store.slots {
 		if s.station.Host == n {
 			for o := range s.dl {
 				damaged[o] = true
@@ -104,18 +70,18 @@ func (d *Directory) DropHost(n graph.NodeID) []ObjectID {
 			for o := range s.sdl {
 				damaged[o] = true
 			}
-			s.dl = make(map[ObjectID]dlEntry)
-			s.sdl = make(map[ObjectID]sdlEntry)
+			clear(s.dl)
+			s.sdl = nil
 			continue
 		}
-		for o, se := range s.sdl {
-			if se.child.Host == n {
+		for o, child := range s.sdl {
+			if child.Host == n {
 				damaged[o] = true
 				delete(s.sdl, o)
 			}
 		}
 		for o, e := range s.dl {
-			if e.hasChild && e.child.Host == n {
+			if e.HasChild && e.Child.Host == n {
 				damaged[o] = true
 			}
 		}
@@ -144,7 +110,7 @@ func (d *Directory) Repair(o ObjectID) error {
 	// wipe iterates the slot map; mark it with one aggregate event rather
 	// than per-slot events whose order would track map iteration.
 	d.obsEvent(obs.EvWipe, -1, proxy, 0)
-	d.wipe(o)
+	d.store.Wipe(o)
 	cost := d.stampWalk(o, proxy, d.ver[o])
 	d.meter.RecoveryCost += cost
 	d.meter.RecoveryOps++
@@ -205,67 +171,30 @@ func (d *Directory) StaleObjects(skip func(graph.NodeID) bool) []ObjectID {
 	// shrink no walk — queries never climb past the root — reaches
 	// them, so their objects must be re-stamped even when the walk
 	// below the new root succeeds, or the fragments leak as orphans.
-	var high []*slot
-	for _, k := range d.sortedSlotKeys() {
-		if s := d.slots[k]; k.level > root.Level && (len(s.dl) > 0 || len(s.sdl) > 0) {
-			high = append(high, s)
+	above := map[ObjectID]bool{}
+	for _, s := range d.store.slots {
+		if s.station.Level > root.Level {
+			for o := range s.dl {
+				above[o] = true
+			}
+			for o := range s.sdl {
+				above[o] = true
+			}
 		}
 	}
 	for _, o := range objs {
-		if !d.trailIntact(o, d.loc[o], root) || holdsAbove(high, o) {
+		if !d.trailIntact(o, d.loc[o], root) || above[o] {
 			out = append(out, o)
 		}
 	}
 	return out
 }
 
-// holdsAbove reports whether any of the above-root slots still records o.
-func holdsAbove(high []*slot, o ObjectID) bool {
-	for _, s := range high {
-		if _, has := s.dl[o]; has {
-			return true
-		}
-		if _, has := s.sdl[o]; has {
-			return true
-		}
-	}
-	return false
-}
-
 // trailIntact follows o's stored trail from the given root station down
 // to level 0, reporting whether it is unbroken and ends at the proxy.
 func (d *Directory) trailIntact(o ObjectID, proxy graph.NodeID, root overlay.Station) bool {
-	end, ok := d.descend(o, root, nil)
+	end, ok := d.store.trail(o, root, nil)
 	return ok && end.Host == proxy
-}
-
-// descend follows o's stored trail from station st down its child
-// pointers, calling visit (when non-nil) on each station holding o, and
-// returns the station the walk ended at. ok reports an unbroken trail
-// ending in a level-0 slot; a missing entry, a level skip, or visit
-// returning false ends the walk early with ok false.
-func (d *Directory) descend(o ObjectID, st overlay.Station, visit func(overlay.Station) bool) (end overlay.Station, ok bool) {
-	for {
-		s, has := d.peek(st)
-		if !has {
-			return st, false
-		}
-		e, has := s.dl[o]
-		if !has {
-			return st, false
-		}
-		if visit != nil && !visit(st) {
-			return st, false
-		}
-		if !e.hasChild {
-			return st, st.Level == 0
-		}
-		if e.child.Level != st.Level-1 {
-			// Level strictly decreases, so the walk always terminates.
-			return st, false
-		}
-		st = e.child
-	}
 }
 
 // Deliveries calls visit, in walk order, on the host of every station an
@@ -284,8 +213,8 @@ func (d *Directory) Deliveries(o ObjectID, x graph.NodeID, visit func(graph.Node
 	defer d.mu.Unlock()
 	for _, level := range d.ov.DPath(x) {
 		for _, st := range level {
-			if d.holds(st, o) {
-				d.descend(o, st, func(st overlay.Station) bool { return visit(st.Host) })
+			if _, ok := d.store.Get(st, o); ok {
+				d.store.trail(o, st, func(st overlay.Station) bool { return visit(st.Host) })
 				return
 			}
 			if !visit(st.Host) {

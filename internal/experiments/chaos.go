@@ -221,7 +221,7 @@ func runChaosSchedule(cfg ChaosConfig, idx int) (ChaosSchedule, error) {
 		DelayFactor: cfg.DelayFactor,
 		MaxAttempts: cfg.MaxAttempts,
 	}, g.N())
-	tr := motruntime.NewChaos(g, hs, rinj)
+	tr := motruntime.NewWith(g, hs, motruntime.Config{Chaos: rinj})
 	defer tr.Stop()
 	countFail := func(err error) error {
 		var de *chaos.DeliveryError

@@ -467,7 +467,7 @@ func issueOp(dir *core.Directory, op churnOp) error {
 // succeed.
 func replayChurnOnRuntime(g *graph.Graph, hs *hier.Hierarchy, locs []graph.NodeID, events []churnOp, lrec *live.Recorder) (int, error) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 1, MaxAttempts: 4}, g.N())
-	tr := motruntime.NewLive(g, hs, inj, nil, lrec)
+	tr := motruntime.NewWith(g, hs, motruntime.Config{Chaos: inj, Live: lrec})
 	defer tr.Stop()
 	failedOps := 0
 	for o, at := range locs {

@@ -228,7 +228,7 @@ func runObsOne(cfg ObsConfig, name string, seed int64) (*obs.Recorder, *live.Rec
 		if cfg.LiveTelemetry {
 			lrec = live.New(name, live.Config{Seed: seed})
 		}
-		tr := motruntime.NewLive(g, hs, nil, rec, lrec)
+		tr := motruntime.NewWith(g, hs, motruntime.Config{Obs: rec, Live: lrec})
 		defer tr.Stop()
 		if err := replayRuntime(tr, w); err != nil {
 			return nil, nil, err

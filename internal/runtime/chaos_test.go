@@ -19,7 +19,7 @@ func newChaosTracker(t testing.TB, w, h int, cfg chaos.Config) (*Tracker, *graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewChaos(g, hs, chaos.NewInjector(cfg, g.N()))
+	tr := NewWith(g, hs, Config{Chaos: chaos.NewInjector(cfg, g.N())})
 	t.Cleanup(tr.Stop)
 	return tr, g
 }
@@ -171,4 +171,5 @@ func TestChaosRuntimeDisabledByDefault(t *testing.T) {
 	if err := tr.Publish(1, 0); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, tr)
 }

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -73,16 +76,26 @@ func (t *Tracker) obsAttempt(op *opState, dest graph.NodeID, d float64, attempt 
 }
 
 // LoadByNode returns the number of detection-list entries stored at each
-// sensor node. Slot state is owned by the node goroutines, so call only
+// sensor node. Node stores are owned by the node goroutines, so call only
 // at quiescence (no operations in flight).
 func (t *Tracker) LoadByNode() []int {
-	out := make([]int, len(t.slots))
-	for n, slots := range t.slots {
-		for _, s := range slots {
-			out[n] += len(s.dl)
-		}
+	out := make([]int, len(t.stores))
+	for n := range t.stores {
+		out[n], _ = t.stores[n].Count()
 	}
 	return out
+}
+
+// CheckInvariants validates the trails the node stores hold together
+// against the ground-truth locations, with the shared core check
+// (core.Store.Check). Like LoadByNode, call only at quiescence.
+func (t *Tracker) CheckInvariants() error {
+	t.locMu.Lock()
+	defer t.locMu.Unlock()
+	if err := core.Union(t.stores).Check(t.ov.Root(), t.loc); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
+	return nil
 }
 
 // ObserveLoad snapshots LoadByNode into the recorder's node.entries

@@ -112,4 +112,5 @@ func TestRaceTrackerMovesAndQueries(t *testing.T) {
 	if tr.Cost() <= 0 {
 		t.Fatal("no message cost accounted")
 	}
+	checkInvariants(t, tr)
 }

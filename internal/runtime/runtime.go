@@ -6,12 +6,15 @@
 // iterative pseudocode "can be immediately converted to a message-passing
 // based distributed algorithm").
 //
-// The measured reproductions use the sequential engine (internal/core) and
-// the discrete-event simulator (internal/sim); this package demonstrates
-// the same protocol running on real concurrent nodes and backs the
-// examples. Operations can be observed via NewInstrumented (spans and
-// per-node metrics on a cost clock, see obs.go) and the opt-in debug
-// HTTP endpoint (debug.go).
+// The station state is core's: each node goroutine owns a core.Store with
+// the stations it hosts, and this package adds only the channels between
+// them. The measured reproductions use the sequential engine
+// (internal/core) and the discrete-event simulator (internal/sim); this
+// package demonstrates the same protocol running on real concurrent nodes
+// and backs the examples. New starts a plain tracker; NewWith adds the
+// layers a Config selects: fault injection (Chaos), spans and per-node
+// metrics on a cost clock (Obs, see obs.go) and wall-clock telemetry
+// (Live) for the opt-in debug HTTP endpoint (debug.go).
 package runtime
 
 import (
@@ -27,15 +30,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/runtime/track"
 )
-
-type slotKey struct {
-	level int
-	key   int64
-}
-
-type slotState struct {
-	dl map[core.ObjectID]overlay.Station // downward pointer; Level<0 means proxy slot
-}
 
 // message is a mobile operation state traveling through the network.
 type message struct {
@@ -97,8 +91,9 @@ type Tracker struct {
 	stopped sync.Once
 	loops   track.Group
 
-	// slots[n] is owned exclusively by node n's goroutine.
-	slots []map[slotKey]*slotState
+	// stores[n] holds the stations node n hosts and is owned
+	// exclusively by node n's goroutine.
+	stores []core.Store
 
 	locMu sync.Mutex
 	loc   map[core.ObjectID]graph.NodeID
@@ -132,53 +127,51 @@ type Tracker struct {
 	live *live.Recorder
 }
 
+// Config selects a tracker's optional layers; the zero Config is New's
+// plain tracker.
+type Config struct {
+	// Chaos passes every message delivery through this fault injector.
+	// Dropped attempts are retried up to the injector's MaxAttempts with
+	// exponential backoff accounted in simulated time (no wall-clock
+	// sleeping); exhausting the budget surfaces a typed
+	// *chaos.DeliveryError on the blocked operation instead of hanging
+	// it. Nil disables faults.
+	Chaos *chaos.Injector
+	// Obs records spans and per-node metrics on the runtime's cost clock
+	// (see obs.go). Nil disables it.
+	Obs *obs.Recorder
+	// Live receives each public operation's wall-clock latency in its
+	// histograms and span reservoir. Unlike Obs its data is
+	// non-deterministic by design and never reaches measured artifacts:
+	// it surfaces only through ServeDebug, expvar and summaries. Nil
+	// keeps the zero-allocation disabled path.
+	Live *live.Recorder
+}
+
 // New starts a tracker: one goroutine per sensor node of the overlay's
 // graph. Call Stop when done.
 func New(g *graph.Graph, ov overlay.Overlay) *Tracker {
-	return NewChaos(g, ov, nil)
+	return NewWith(g, ov, Config{})
 }
 
-// NewChaos starts a tracker whose message deliveries pass through the
-// given fault injector (nil behaves exactly like New). Dropped attempts
-// are retried up to the injector's MaxAttempts with exponential backoff
-// accounted in simulated time (no wall-clock sleeping); exhausting the
-// budget surfaces a typed *chaos.DeliveryError on the blocked operation
-// instead of hanging it.
-func NewChaos(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector) *Tracker {
-	return NewInstrumented(g, ov, inj, nil)
-}
-
-// NewInstrumented starts a tracker whose operations additionally record
-// spans and per-node metrics into rec (nil rec behaves exactly like
-// NewChaos). The runtime's logical clock is a cost clock — see obs.go.
-func NewInstrumented(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector, rec *obs.Recorder) *Tracker {
-	return NewLive(g, ov, inj, rec, nil)
-}
-
-// NewLive is NewInstrumented plus a wall-clock telemetry sink: each
-// public operation's real elapsed time lands in lrec's histograms and
-// span reservoir (nil lrec behaves exactly like NewInstrumented and
-// keeps the zero-allocation disabled path). Unlike rec, lrec's data is
-// non-deterministic by design and never reaches measured artifacts —
-// it surfaces only through ServeDebug, expvar, and summaries.
-func NewLive(g *graph.Graph, ov overlay.Overlay, inj *chaos.Injector, rec *obs.Recorder, lrec *live.Recorder) *Tracker {
+// NewWith starts a tracker with the optional layers cfg selects.
+func NewWith(g *graph.Graph, ov overlay.Overlay, cfg Config) *Tracker {
 	t := &Tracker{
 		g:       g,
 		m:       ov.Metric(),
 		ov:      ov,
 		inboxes: make([]chan message, g.N()),
 		quit:    make(chan struct{}),
-		slots:   make([]map[slotKey]*slotState, g.N()),
+		stores:  make([]core.Store, g.N()),
 		loc:     make(map[core.ObjectID]graph.NodeID),
 		objMu:   make(map[core.ObjectID]*sync.Mutex),
-		inj:     inj,
+		inj:     cfg.Chaos,
 		crashed: make([]bool, g.N()),
-		obs:     rec,
-		live:    lrec,
+		obs:     cfg.Obs,
+		live:    cfg.Live,
 	}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan message, 256)
-		t.slots[i] = make(map[slotKey]*slotState)
 	}
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
@@ -350,45 +343,37 @@ func (t *Tracker) nodeLoop(id graph.NodeID) {
 	}
 }
 
-func (t *Tracker) slot(n graph.NodeID, st overlay.Station) *slotState {
-	k := slotKey{st.Level, st.Key}
-	s, ok := t.slots[n][k]
-	if !ok {
-		//motlint:ignore hotalloc lazy one-time materialization of a node's slot
-		s = &slotState{dl: make(map[core.ObjectID]overlay.Station)}
-		t.slots[n][k] = s
+// stamp writes op's entry at st, the station of op's current level, into
+// node store s. The runtime registers no special parents (offset 0): its
+// queries probe detection lists only.
+func stamp(s *core.Store, op *opState, st overlay.Station) {
+	var child overlay.Station
+	if op.level > 0 {
+		child = op.path[op.level-1][0]
 	}
-	return s
+	s.Stamp(op.path, op.level, st, child, op.o, 0, 0)
 }
 
-// proxyMark is the sentinel downward pointer of a bottom-level proxy slot.
-var proxyMark = overlay.Station{Level: -1}
-
-// handle processes an operation arriving at node n. The node owns its slot
-// state; all mutation happens here.
+// handle processes an operation arriving at node n. The node owns its
+// store; all mutation happens here.
 func (t *Tracker) handle(n graph.NodeID, op *opState) {
+	s := &t.stores[n]
 	switch op.kind {
 	case opPublish, opInsertUp:
 		st := op.path[op.level][0]
 		t.obsArrive(op, op.level, n)
-		s := t.slot(n, st)
 		if op.kind == opInsertUp && op.level > 0 {
-			if old, ok := s.dl[op.o]; ok {
+			if old, ok := s.Get(st, op.o); ok {
 				// Peak: repoint and start the delete downward.
-				s.dl[op.o] = op.path[op.level-1][0]
+				stamp(s, op, st)
 				t.obsEvent(op, obs.EvPeak, op.level, n, 0)
 				t.obsEvent(op, obs.EvStamp, op.level, n, 0)
 				op.kind = opDeleteDown
-				op.down = old
-				t.send(n, message{dest: old.Host, op: op})
+				t.descend(n, op, old)
 				return
 			}
 		}
-		if op.level == 0 {
-			s.dl[op.o] = proxyMark
-		} else {
-			s.dl[op.o] = op.path[op.level-1][0]
-		}
+		stamp(s, op, st)
 		t.obsEvent(op, obs.EvStamp, op.level, n, 0)
 		if op.level+1 < len(op.path) {
 			op.level++
@@ -399,33 +384,20 @@ func (t *Tracker) handle(n graph.NodeID, op *opState) {
 	case opDeleteDown:
 		st := op.down
 		t.obsArrive(op, st.Level, n)
-		s := t.slot(n, st)
-		next, ok := s.dl[op.o]
+		e, ok := s.Erase(st, op.o)
 		if !ok {
 			op.reply <- result{err: fmt.Errorf("runtime: delete lost trail of object %d at %v", op.o, st)}
 			return
 		}
-		delete(s.dl, op.o)
 		t.obsEvent(op, obs.EvWipe, st.Level, n, 0)
-		if next == proxyMark {
-			op.reply <- result{proxy: n, cost: op.cost}
-			return
-		}
-		op.down = next
-		t.send(n, message{dest: next.Host, op: op})
+		t.descend(n, op, e)
 	case opQueryUp:
 		st := op.path[op.level][0]
 		t.obsArrive(op, op.level, n)
-		s := t.slot(n, st)
-		if next, ok := s.dl[op.o]; ok {
+		if e, ok := s.Get(st, op.o); ok {
 			t.obsEvent(op, obs.EvPeak, op.level, n, 0)
-			if next == proxyMark {
-				op.reply <- result{proxy: n, cost: op.cost}
-				return
-			}
 			op.kind = opQueryDown
-			op.down = next
-			t.send(n, message{dest: next.Host, op: op})
+			t.descend(n, op, e)
 			return
 		}
 		if op.level+1 >= len(op.path) {
@@ -437,19 +409,25 @@ func (t *Tracker) handle(n graph.NodeID, op *opState) {
 	case opQueryDown:
 		st := op.down
 		t.obsArrive(op, st.Level, n)
-		s := t.slot(n, st)
-		next, ok := s.dl[op.o]
+		e, ok := s.Get(st, op.o)
 		if !ok {
 			op.reply <- result{err: fmt.Errorf("runtime: query lost trail of object %d at %v", op.o, st)}
 			return
 		}
-		if next == proxyMark {
-			op.reply <- result{proxy: n, cost: op.cost}
-			return
-		}
-		op.down = next
-		t.send(n, message{dest: next.Host, op: op})
+		t.descend(n, op, e)
 	}
+}
+
+// descend moves a downward walk on from node n past entry e: at the
+// bottom-level proxy slot the operation completes with n as the proxy,
+// otherwise it travels to e's child.
+func (t *Tracker) descend(n graph.NodeID, op *opState, e core.Entry) {
+	if !e.HasChild {
+		op.reply <- result{proxy: n, cost: op.cost}
+		return
+	}
+	op.down = e.Child
+	t.send(n, message{dest: e.Child.Host, op: op})
 }
 
 // Publish introduces o at sensor node at and blocks until the detection

@@ -23,6 +23,15 @@ func newTracker(t testing.TB, w, h int) (*Tracker, *graph.Graph) {
 	return tr, g
 }
 
+// checkInvariants asserts the shared trail invariants over the tracker's
+// node stores; the tracker must be quiescent.
+func checkInvariants(t *testing.T, tr *Tracker) {
+	t.Helper()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPublishQuerySingle(t *testing.T) {
 	tr, g := newTracker(t, 6, 6)
 	if err := tr.Publish(1, 17); err != nil {
@@ -46,6 +55,7 @@ func TestPublishQuerySingle(t *testing.T) {
 	if tr.Cost() <= 0 {
 		t.Fatal("no message cost recorded")
 	}
+	checkInvariants(t, tr)
 }
 
 func TestMoveAndTrack(t *testing.T) {
@@ -78,6 +88,7 @@ func TestMoveAndTrack(t *testing.T) {
 	if got != cur {
 		t.Fatalf("query said %d, proxy %d", got, cur)
 	}
+	checkInvariants(t, tr)
 }
 
 func TestMoveNoop(t *testing.T) {
@@ -91,6 +102,7 @@ func TestMoveNoop(t *testing.T) {
 	if v, _ := tr.Location(1); v != 3 {
 		t.Fatal("no-op move changed location")
 	}
+	checkInvariants(t, tr)
 }
 
 // Many objects tracked concurrently from multiple client goroutines — the
@@ -148,6 +160,27 @@ func TestConcurrentObjectsParallelClients(t *testing.T) {
 		if got != finals[o] {
 			t.Fatalf("object %d at %d, query said %d", o, finals[o], got)
 		}
+	}
+	checkInvariants(t, tr)
+}
+
+// The invariant check sees the trail across node stores: erasing one
+// station's entry on its host breaks it.
+func TestCheckInvariantsSpansNodeStores(t *testing.T) {
+	tr, _ := newTracker(t, 6, 6)
+	if err := tr.Publish(1, 17); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Move(1, 20); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, tr)
+	mid := tr.ov.HomeStation(20, 1)
+	if _, ok := tr.stores[mid.Host].Erase(mid, 1); !ok {
+		t.Fatalf("no entry for object 1 at %v", mid)
+	}
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("broken trail passed the invariant check")
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -44,30 +43,11 @@ func (c *Config) fill() {
 	}
 }
 
-type slotKey struct {
-	level int
-	key   int64
-}
-
-type simEntry struct {
-	child overlay.Station // downward pointer; meaningless at level 0
-	ver   uint64
-	sp    overlay.Station
-	spOK  bool
-}
-
-type simSDL struct {
-	child overlay.Station
-	ver   uint64
-}
-
-type simSlot struct {
-	station overlay.Station
-	dl      map[core.ObjectID]simEntry
-	sdl     map[core.ObjectID]simSDL
-	// fwd holds forwarding tombstones left by deletes when Redirects is
-	// enabled: the destination of the move whose delete erased the entry.
-	fwd map[core.ObjectID]graph.NodeID
+// tombstone keys a forwarding pointer: object o's entry at station st
+// was erased by a delete (Config.Redirects).
+type tombstone struct {
+	st overlay.Station
+	o  core.ObjectID
 }
 
 // QueryResult records one completed simulated query.
@@ -89,9 +69,13 @@ type MOTSim struct {
 	m   graph.DistanceOracle
 	cfg Config
 
-	slots map[slotKey]*simSlot
+	store core.Store
 	loc   map[core.ObjectID]graph.NodeID
 	ver   map[core.ObjectID]uint64
+	// fwd holds the forwarding tombstones deletes leave when Redirects is
+	// on: the destination of the move whose delete erased the entry. Nil
+	// otherwise.
+	fwd map[tombstone]graph.NodeID
 
 	// Same-object maintenance operations execute in issue order — the
 	// serialization the paper's period scheme Φ(i) enforces for
@@ -100,9 +84,9 @@ type MOTSim struct {
 	queue  map[core.ObjectID][]*moveOp
 	active map[core.ObjectID]bool
 
-	// waiters[slot][o] = queries parked at a stale bottom-level proxy,
+	// waiters[st][o] = queries parked at a stale bottom-level proxy,
 	// resumed by the delete message carrying the new proxy.
-	waiters map[slotKey]map[core.ObjectID][]func(newProxy graph.NodeID)
+	waiters map[overlay.Station]map[core.ObjectID][]func(newProxy graph.NodeID)
 
 	meter   core.CostMeter
 	results []QueryResult
@@ -132,19 +116,22 @@ func NewMOT(ov overlay.Overlay, eng *Engine, cfg Config) (*MOTSim, error) {
 	if cfg.Obs != nil {
 		eng.SetObs(cfg.Obs)
 	}
-	return &MOTSim{
+	s := &MOTSim{
 		eng:     eng,
 		ov:      ov,
 		m:       ov.Metric(),
 		cfg:     cfg,
-		slots:   make(map[slotKey]*simSlot),
 		loc:     make(map[core.ObjectID]graph.NodeID),
 		ver:     make(map[core.ObjectID]uint64),
 		queue:   make(map[core.ObjectID][]*moveOp),
 		active:  make(map[core.ObjectID]bool),
-		waiters: make(map[slotKey]map[core.ObjectID][]func(graph.NodeID)),
+		waiters: make(map[overlay.Station]map[core.ObjectID][]func(graph.NodeID)),
 		obs:     cfg.Obs,
-	}, nil
+	}
+	if cfg.Redirects {
+		s.fwd = make(map[tombstone]graph.NodeID)
+	}
+	return s, nil
 }
 
 // Meter returns the accumulated cost counters.
@@ -167,21 +154,6 @@ func (s *MOTSim) Location(o core.ObjectID) (graph.NodeID, bool) {
 	return v, ok
 }
 
-func (s *MOTSim) slot(st overlay.Station) *simSlot {
-	k := slotKey{st.Level, st.Key}
-	sl, ok := s.slots[k]
-	if !ok {
-		sl = &simSlot{
-			station: st,
-			dl:      make(map[core.ObjectID]simEntry),
-			sdl:     make(map[core.ObjectID]simSDL),
-			fwd:     make(map[core.ObjectID]graph.NodeID),
-		}
-		s.slots[k] = sl
-	}
-	return sl
-}
-
 func (s *MOTSim) fail(format string, args ...interface{}) {
 	s.errs = append(s.errs, fmt.Errorf(format, args...))
 }
@@ -190,9 +162,22 @@ func (s *MOTSim) fail(format string, args ...interface{}) {
 // initialization, performed before the tracked execution starts).
 func (s *MOTSim) Publish(o core.ObjectID, at graph.NodeID) error {
 	if _, ok := s.loc[o]; ok {
-		return fmt.Errorf("sim: object %d already published", o)
+		return fmt.Errorf("sim: object %d %w", o, core.ErrAlreadyPublished)
 	}
 	span := s.obsSpan(obs.OpPublish, 0, o)
+	cost := s.stampWalk(span, o, at, 0)
+	s.loc[o] = at
+	s.ver[o] = 0
+	s.meter.PublishCost += cost
+	s.meter.PublishOps++
+	span.End(s.eng.Now())
+	return nil
+}
+
+// stampWalk stamps o along the whole detection path of at, as one
+// instantaneous walk at version ver, and returns its cost. Publish and
+// repair share it.
+func (s *MOTSim) stampWalk(span obs.Span, o core.ObjectID, at graph.NodeID, ver uint64) float64 {
 	path := s.ov.DPath(at)
 	cost := 0.0
 	prev := path[0][0]
@@ -202,43 +187,27 @@ func (s *MOTSim) Publish(o core.ObjectID, at graph.NodeID) error {
 		prev = st
 		s.obsAttempt(span, st.Host, 0, 1)
 		s.obsArrive(span, l, st.Host)
-		s.stamp(span, path, l, o, 0)
+		s.stamp(span, path, l, o, ver)
 	}
-	s.loc[o] = at
-	s.ver[o] = 0
-	s.meter.PublishCost += cost
-	s.meter.PublishOps++
-	span.End(s.eng.Now())
-	return nil
+	return cost
 }
 
-// stamp writes the entry for o at path[l] with the given version, handling
-// SDL registration and cost. span is the operation the stamp belongs to.
+// stamp writes the entry for o at path[l] with the given version and
+// accounts its SDL registration. span is the operation the stamp belongs
+// to.
 func (s *MOTSim) stamp(span obs.Span, path overlay.Path, l int, o core.ObjectID, ver uint64) {
 	st := path[l][0]
 	var child overlay.Station
 	if l > 0 {
 		child = path[l-1][0]
 	}
-	sp, spOK := overlay.SpecialParent(path, l, 0, s.ov.SpecialOffset())
-	sl := s.slot(st)
-	if old, ok := sl.dl[o]; ok && old.spOK {
-		s.removeSDL(old.sp, st, o)
-	}
-	sl.dl[o] = simEntry{child: child, ver: ver, sp: sp, spOK: spOK}
-	delete(sl.fwd, o)
+	e := s.store.Stamp(path, l, st, child, o, ver, s.ov.SpecialOffset())
+	delete(s.fwd, tombstone{st, o})
 	span.Event(obs.EvStamp, l, int(st.Host), 0, s.eng.Now())
-	if spOK {
-		s.slot(sp).sdl[o] = simSDL{child: st, ver: ver}
-		s.meter.SpecialCost += s.m.Dist(st.Host, sp.Host)
-		span.Event(obs.EvSDL, sp.Level, int(sp.Host), s.m.Dist(st.Host, sp.Host), s.eng.Now())
-	}
-}
-
-func (s *MOTSim) removeSDL(sp, child overlay.Station, o core.ObjectID) {
-	sl := s.slot(sp)
-	if se, ok := sl.sdl[o]; ok && se.child == child {
-		delete(sl.sdl, o)
+	if e.SPOK {
+		c := s.m.Dist(st.Host, e.SP.Host)
+		s.meter.SpecialCost += c
+		span.Event(obs.EvSDL, e.SP.Level, int(e.SP.Host), c, s.eng.Now())
 	}
 }
 
@@ -279,7 +248,7 @@ func (s *MOTSim) send(op *moveOp, dest graph.NodeID, fn func()) {
 // of the same object and otherwise starts immediately.
 func (s *MOTSim) IssueMove(o core.ObjectID, to graph.NodeID, at float64) error {
 	if _, ok := s.loc[o]; !ok {
-		return fmt.Errorf("sim: object %d not published", o)
+		return fmt.Errorf("sim: object %d %w", o, core.ErrNotPublished)
 	}
 	s.eng.At(at, func() {
 		from := s.loc[o]
@@ -340,9 +309,8 @@ func (s *MOTSim) arriveLevel(op *moveOp, k int) {
 	st := op.path[k][0]
 	op.pos = st.Host
 	s.obsArrive(op.span, k, st.Host)
-	sl := s.slot(st)
-	if e, ok := sl.dl[op.o]; ok {
-		if e.ver >= op.ver {
+	if e, ok := s.store.Get(st, op.o); ok {
+		if e.Version >= op.ver {
 			// Cannot happen under per-object serialization; defensive.
 			s.fail("sim: move %d/%d overtaken at level %d", op.o, op.ver, k)
 			s.finishMove(op)
@@ -351,7 +319,7 @@ func (s *MOTSim) arriveLevel(op *moveOp, k int) {
 		// Peak: repoint to the new chain, then prune the old one.
 		op.span.Event(obs.EvPeak, k, int(st.Host), 0, s.eng.Now())
 		s.stamp(op.span, op.path, k, op.o, op.ver)
-		s.deleteStep(op, e.child)
+		s.deleteStep(op, e.Child)
 		return
 	}
 	s.stamp(op.span, op.path, k, op.o, op.ver)
@@ -363,29 +331,27 @@ func (s *MOTSim) deleteStep(op *moveOp, target overlay.Station) {
 	s.send(op, target.Host, func() {
 		op.pos = target.Host
 		s.obsArrive(op.span, target.Level, target.Host)
-		sl := s.slot(target)
-		e, ok := sl.dl[op.o]
-		if !ok || e.ver >= op.ver {
+		e, ok := s.store.Get(target, op.o)
+		if !ok || e.Version >= op.ver {
 			// The entry was already replaced by a newer move; the newer
 			// chain owns everything below.
 			s.finishMove(op)
 			return
 		}
-		delete(sl.dl, op.o)
+		s.store.Erase(target, op.o)
 		op.span.Event(obs.EvWipe, target.Level, int(target.Host), 0, s.eng.Now())
 		if s.cfg.Redirects {
-			sl.fwd[op.o] = op.to
+			s.fwd[tombstone{target, op.o}] = op.to
 		}
-		if e.spOK {
-			s.removeSDL(e.sp, target, op.o)
-			s.meter.SpecialCost += s.m.Dist(target.Host, e.sp.Host)
+		if e.SPOK {
+			s.meter.SpecialCost += s.m.Dist(target.Host, e.SP.Host)
 		}
 		if target.Level == 0 {
 			s.resolveWaiters(target, op.o, op.to)
 			s.finishMove(op)
 			return
 		}
-		s.deleteStep(op, e.child)
+		s.deleteStep(op, e.Child)
 	})
 }
 
@@ -421,50 +387,29 @@ func (s *MOTSim) abortMove(op *moveOp, err error) {
 // chain, not the directory). Queries parked at stale proxies are released
 // toward the repaired proxy.
 func (s *MOTSim) repair(span obs.Span, o core.ObjectID, ver uint64) {
-	keys := make([]slotKey, 0, len(s.slots))
-	for k := range s.slots {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].key < keys[j].key
-	})
 	// One aggregate wipe event covers the whole sweep.
 	span.Event(obs.EvWipe, -1, int(s.loc[o]), 0, s.eng.Now())
-	for _, k := range keys {
-		sl := s.slots[k]
-		delete(sl.dl, o)
-		delete(sl.sdl, o)
-		delete(sl.fwd, o)
+	s.store.Wipe(o)
+	for k := range s.fwd {
+		if k.o == o {
+			delete(s.fwd, k)
+		}
 	}
 	proxy := s.loc[o]
-	path := s.ov.DPath(proxy)
-	cost := 0.0
-	prev := path[0][0]
-	for l := 0; l < len(path); l++ {
-		st := path[l][0]
-		cost += s.m.Dist(prev.Host, st.Host)
-		prev = st
-		s.obsAttempt(span, st.Host, 0, 1)
-		s.obsArrive(span, l, st.Host)
-		s.stamp(span, path, l, o, ver)
-	}
-	s.meter.RecoveryCost += cost
+	s.meter.RecoveryCost += s.stampWalk(span, o, proxy, ver)
 	s.meter.RecoveryOps++
-	// Release every query parked on o, in deterministic slot order; they
-	// chase the repaired proxy (and re-anchor if the object moves again).
-	for _, k := range keys {
-		if byObj, ok := s.waiters[k]; ok && len(byObj[o]) > 0 {
-			s.resolveWaiters(s.slots[k].station, o, proxy)
+	// Release every query parked on o, in deterministic station order;
+	// they chase the repaired proxy (and re-anchor if the object moves
+	// again).
+	for _, st := range s.store.Stations() {
+		if byObj, ok := s.waiters[st]; ok && len(byObj[o]) > 0 {
+			s.resolveWaiters(st, o, proxy)
 		}
 	}
 }
 
 func (s *MOTSim) resolveWaiters(st overlay.Station, o core.ObjectID, newProxy graph.NodeID) {
-	k := slotKey{st.Level, st.Key}
-	if byObj, ok := s.waiters[k]; ok {
+	if byObj, ok := s.waiters[st]; ok {
 		ws := byObj[o]
 		delete(byObj, o)
 		for _, w := range ws {
@@ -485,8 +430,11 @@ type queryOp struct {
 	optimal  float64
 	restarts int
 	waited   bool
-	lastSlot *simSlot // slot where the trail last broke (for redirects)
-	span     obs.Span
+	// last is the station where the trail last broke (for redirects);
+	// hasLast is false once its tombstone has been consulted.
+	last    overlay.Station
+	hasLast bool
+	span    obs.Span
 }
 
 // qsend routes one query message through the fault layer.
@@ -512,7 +460,7 @@ func (s *MOTSim) qsend(q *queryOp, dest graph.NodeID, fn func()) {
 // IssueQuery schedules a query from origin for o at time at.
 func (s *MOTSim) IssueQuery(origin graph.NodeID, o core.ObjectID, at float64) error {
 	if _, ok := s.loc[o]; !ok {
-		return fmt.Errorf("sim: object %d not published", o)
+		return fmt.Errorf("sim: object %d %w", o, core.ErrNotPublished)
 	}
 	s.eng.At(at, func() {
 		s.nextOp++
@@ -535,18 +483,16 @@ func (s *MOTSim) climb(q *queryOp, path overlay.Path, k int) {
 	s.qsend(q, st.Host, func() {
 		q.pos = st.Host
 		s.obsArrive(q.span, k, st.Host)
-		sl := s.slot(st)
-		if _, ok := sl.dl[q.o]; ok {
+		switch hit, child := s.store.Probe(st, q.o); hit {
+		case core.HitDL:
 			q.span.Event(obs.EvPeak, k, int(st.Host), 0, s.eng.Now())
 			s.descend(q, st)
-			return
-		}
-		if se, ok := sl.sdl[q.o]; ok {
+		case core.HitSDL:
 			q.span.Event(obs.EvSDL, k, int(st.Host), 0, s.eng.Now())
-			s.hopTo(q, se.child)
-			return
+			s.hopTo(q, child)
+		default:
+			s.climb(q, path, k+1)
 		}
-		s.climb(q, path, k+1)
 	})
 }
 
@@ -555,24 +501,16 @@ func (s *MOTSim) hopTo(q *queryOp, st overlay.Station) {
 	s.qsend(q, st.Host, func() {
 		q.pos = st.Host
 		s.obsArrive(q.span, st.Level, st.Host)
-		if sl := s.slot(st); true {
-			if _, ok := sl.dl[q.o]; !ok {
-				q.lastSlot = sl
-				s.restart(q)
-				return
-			}
-		}
 		s.descend(q, st)
 	})
 }
 
-// descend follows downward pointers; q.pos is already at st's host and st
-// is known to hold the object.
+// descend follows downward pointers from st, where q.pos already is; a
+// station that lost the object sends the query to restart.
 func (s *MOTSim) descend(q *queryOp, st overlay.Station) {
-	sl := s.slot(st)
-	e, ok := sl.dl[q.o]
+	e, ok := s.store.Get(st, q.o)
 	if !ok {
-		q.lastSlot = sl
+		q.last, q.hasLast = st, true
 		s.restart(q)
 		return
 	}
@@ -585,21 +523,15 @@ func (s *MOTSim) descend(q *queryOp, st overlay.Station) {
 		// yet. Wait for it; it carries the new proxy.
 		q.waited = true
 		q.span.Event(obs.EvWait, 0, int(st.Host), 0, s.eng.Now())
-		k := slotKey{st.Level, st.Key}
-		if s.waiters[k] == nil {
-			s.waiters[k] = make(map[core.ObjectID][]func(graph.NodeID))
+		if s.waiters[st] == nil {
+			s.waiters[st] = make(map[core.ObjectID][]func(graph.NodeID))
 		}
-		s.waiters[k][q.o] = append(s.waiters[k][q.o], func(newProxy graph.NodeID) {
+		s.waiters[st][q.o] = append(s.waiters[st][q.o], func(newProxy graph.NodeID) {
 			s.chase(q, newProxy)
 		})
 		return
 	}
-	next := e.child
-	s.qsend(q, next.Host, func() {
-		q.pos = next.Host
-		s.obsArrive(q.span, next.Level, next.Host)
-		s.descend(q, next)
-	})
+	s.hopTo(q, e.Child)
 }
 
 // chase forwards a resumed query to the proxy named by a delete message or
@@ -614,7 +546,7 @@ func (s *MOTSim) chase(q *queryOp, proxy graph.NodeID) {
 			s.complete(q, proxy)
 			return
 		}
-		q.lastSlot = s.slots[slotKey{0, int64(proxy)}]
+		q.last, q.hasLast = s.ov.HomeStation(proxy, 0), true
 		s.restart(q)
 	})
 }
@@ -631,10 +563,9 @@ func (s *MOTSim) restart(q *queryOp) {
 	}
 	// Tombstones live at the station where the trail broke; consume the
 	// anchor so a failed chase cannot re-follow the same stale pointer.
-	if s.cfg.Redirects && q.lastSlot != nil {
-		last := q.lastSlot
-		q.lastSlot = nil
-		if to, ok := last.fwd[q.o]; ok && to != q.pos {
+	if s.cfg.Redirects && q.hasLast {
+		q.hasLast = false
+		if to, ok := s.fwd[tombstone{q.last, q.o}]; ok && to != q.pos {
 			s.chase(q, to)
 			return
 		}
@@ -651,9 +582,10 @@ func (s *MOTSim) complete(q *queryOp, found graph.NodeID) {
 	q.span.End(s.eng.Now())
 }
 
-// CheckInvariants validates quiescent-state consistency: every object's
-// trail runs root → proxy with strictly usable pointers and no orphans.
-// Call only after Engine.Run has drained all events.
+// CheckInvariants validates quiescent-state consistency with the shared
+// store check (core.Store.Check): every object's trail runs root → proxy
+// with no orphans and no stale SDL shortcut. Call only after Engine.Run
+// has drained all events.
 func (s *MOTSim) CheckInvariants() error {
 	if s.eng.Pending() > 0 {
 		return fmt.Errorf("sim: invariants checked before quiescence (%d events pending)", s.eng.Pending())
@@ -661,29 +593,8 @@ func (s *MOTSim) CheckInvariants() error {
 	for _, err := range s.errs {
 		return fmt.Errorf("sim: protocol error during run: %w", err)
 	}
-	for o, proxy := range s.loc {
-		st := s.ov.Root()
-		onTrail := map[slotKey]bool{}
-		for {
-			sl := s.slot(st)
-			e, ok := sl.dl[o]
-			if !ok {
-				return fmt.Errorf("sim: trail for %d broken at %v", o, st)
-			}
-			onTrail[slotKey{st.Level, st.Key}] = true
-			if st.Level == 0 {
-				if st.Host != proxy {
-					return fmt.Errorf("sim: trail for %d ends at %d, proxy %d", o, st.Host, proxy)
-				}
-				break
-			}
-			st = e.child
-		}
-		for k, sl := range s.slots {
-			if _, has := sl.dl[o]; has && !onTrail[k] {
-				return fmt.Errorf("sim: orphaned entry for %d at %v", o, sl.station)
-			}
-		}
+	if err := s.store.Check(s.ov.Root(), s.loc); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
 }
