@@ -25,7 +25,10 @@
 // serving rows: serve/ops-publish|move|query each pin one full HTTP
 // round trip through the sharded motserve front end (mux dispatch,
 // shard hash, batched move drain, ack) with ops_per_sec and the
-// server-side p50/p99 riding along as extras.
+// server-side p50/p99 riding along as extras — and the event-engine row:
+// sim/concurrent-256 pins one 256-node concurrent MOT cell (schedule
+// plus engine drain), so the typed in-flight heap's allocation drop
+// cannot silently regress.
 package bench
 
 import (
@@ -43,9 +46,11 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hier"
+	"repro/internal/mobility"
 	"repro/internal/obs/live"
 	motruntime "repro/internal/runtime"
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 // Result is one benchmark's outcome in flat, diff-friendly units.
@@ -64,12 +69,14 @@ type Result struct {
 }
 
 // Report is the full artifact. Schema names the layout so downstream
-// tooling can detect format changes.
+// tooling can detect format changes. NumCPU is 0 in reports written
+// before it was stamped.
 type Report struct {
 	Schema     string   `json:"schema"`
 	GoOS       string   `json:"goos"`
 	GoArch     string   `json:"goarch"`
 	GoMaxProcs int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -350,6 +357,50 @@ func runtimeOps(name string, lrec *live.Recorder) Result {
 	return res
 }
 
+// simConcurrent measures one 256-node concurrent MOT cell on the event
+// simulator: sim.Schedule issuing every move burst and query, then
+// Engine.Run draining them. The grid, hierarchy and workload are built
+// once and a fresh simulator is made per iteration with the timer
+// stopped, so ns/op and allocs/op are the schedule and the event loop.
+// events_per_op is the number of engine steps one cell executes.
+func simConcurrent() Result {
+	g := graph.Grid(16, 16)
+	m := graph.NewMetric(g)
+	m.Precompute(0)
+	hs, err := hier.Build(g, m, hier.Config{Seed: 1, SpecialParentOffset: 2})
+	if err != nil {
+		panic(err)
+	}
+	w, err := mobility.Generate(g, m, mobility.Config{Objects: 8, MovesPerObject: 100, Queries: 200, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	dcfg := sim.DriverConfig{Diameter: m.Diameter(), Seed: 1}
+	var steps int64
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := sim.NewEngine(0)
+			s, err := sim.NewMOT(hs, eng, sim.Config{PeriodSync: true})
+			if err != nil {
+				panic(err)
+			}
+			b.StartTimer()
+			if _, err := sim.Schedule(s, w, dcfg); err != nil {
+				panic(err)
+			}
+			if err := eng.Run(); err != nil {
+				panic(err)
+			}
+			steps = eng.Steps()
+		}
+	})
+	res := toResult("sim/concurrent-256", r, map[string]float64{"events_per_op": float64(steps)})
+	res.Pinned = true
+	return res
+}
+
 // serveOps measures one full HTTP round trip of the named op class
 // against a live sharded serving front end: request encode, mux
 // dispatch, shard hash, the tracker op (through the batched drain loop
@@ -464,7 +515,7 @@ func Run() *Report {
 	benchmarks = append(benchmarks, off, on)
 	benchmarks = append(benchmarks, oracleBuild(1024, true)...)
 	benchmarks = append(benchmarks, oracleBuild(10000, false)...)
-	benchmarks = append(benchmarks, scaleCell(), churnCell())
+	benchmarks = append(benchmarks, scaleCell(), churnCell(), best(3, simConcurrent))
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
 	}
@@ -473,6 +524,7 @@ func Run() *Report {
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Benchmarks: benchmarks,
 	}
 }

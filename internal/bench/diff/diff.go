@@ -44,6 +44,10 @@ type Report struct {
 	Schema   string
 	Rows     []Row
 	Failures []string
+	// HostNote is non-empty when the two reports were measured with a
+	// different gomaxprocs or num_cpu; it is informational and never
+	// gates.
+	HostNote string
 }
 
 // OK reports whether the gate passes.
@@ -73,7 +77,7 @@ func Diff(base, cur *bench.Report, opts Options) *Report {
 	}
 	sort.Strings(names)
 
-	rep := &Report{Schema: cur.Schema}
+	rep := &Report{Schema: cur.Schema, HostNote: hostNote(base, cur)}
 	for _, name := range names {
 		b, inBase := baseBy[name]
 		c, inCur := curBy[name]
@@ -123,6 +127,24 @@ func Diff(base, cur *bench.Report, opts Options) *Report {
 	return rep
 }
 
+// hostNote describes a gomaxprocs or num_cpu mismatch between the two
+// reports. A num_cpu of 0 (a report from before it was stamped) is
+// unknown and never counts as a mismatch.
+func hostNote(base, cur *bench.Report) string {
+	cpuDiffers := base.NumCPU != 0 && cur.NumCPU != 0 && base.NumCPU != cur.NumCPU
+	if base.GoMaxProcs == cur.GoMaxProcs && !cpuDiffers {
+		return ""
+	}
+	numCPU := func(n int) string {
+		if n == 0 {
+			return "unknown"
+		}
+		return fmt.Sprint(n)
+	}
+	return fmt.Sprintf("Host differs: baseline gomaxprocs %d, num_cpu %s; current gomaxprocs %d, num_cpu %s.",
+		base.GoMaxProcs, numCPU(base.NumCPU), cur.GoMaxProcs, numCPU(cur.NumCPU))
+}
+
 // LoadReport reads a mot-bench/v1 JSON artifact from disk.
 func LoadReport(path string) (*bench.Report, error) {
 	f, err := os.Open(path)
@@ -144,6 +166,11 @@ func LoadReport(path string) (*bench.Report, error) {
 func WriteMarkdown(w io.Writer, rep *Report) error {
 	if _, err := fmt.Fprintf(w, "# Bench delta (%s)\n\n", rep.Schema); err != nil {
 		return err
+	}
+	if rep.HostNote != "" {
+		if _, err := fmt.Fprintf(w, "%s\n\n", rep.HostNote); err != nil {
+			return err
+		}
 	}
 	if rep.OK() {
 		if _, err := fmt.Fprintf(w, "Gate: **pass** — no pinned regressions.\n\n"); err != nil {

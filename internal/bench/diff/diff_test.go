@@ -172,3 +172,58 @@ func TestWriteMarkdownCleanPass(t *testing.T) {
 		t.Fatalf("clean diff not marked pass:\n%s", md.String())
 	}
 }
+
+// A gomaxprocs or num_cpu mismatch is called out in one Markdown line
+// but never gates; an unstamped num_cpu (an old baseline) is unknown,
+// not a mismatch.
+func TestHostMismatchNote(t *testing.T) {
+	host := func(procs, cpus int) *bench.Report {
+		rep := report(pinned("live/nil-sink", 2, 0))
+		rep.GoMaxProcs, rep.NumCPU = procs, cpus
+		return rep
+	}
+	for _, tc := range []struct {
+		name      string
+		base, cur *bench.Report
+		want      string
+	}{
+		{"same host", host(2, 2), host(2, 2), ""},
+		{"old baseline, same gomaxprocs", host(2, 0), host(2, 2), ""},
+		{"old baseline, gomaxprocs differs", host(1, 0), host(2, 2),
+			"Host differs: baseline gomaxprocs 1, num_cpu unknown; current gomaxprocs 2, num_cpu 2."},
+		{"num_cpu differs", host(2, 4), host(2, 2),
+			"Host differs: baseline gomaxprocs 2, num_cpu 4; current gomaxprocs 2, num_cpu 2."},
+	} {
+		rep := Diff(tc.base, tc.cur, Options{})
+		if !rep.OK() {
+			t.Fatalf("%s: host mismatch gated: %v", tc.name, rep.Failures)
+		}
+		var md strings.Builder
+		if err := WriteMarkdown(&md, rep); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Count(md.String(), "Host differs")
+		switch {
+		case tc.want == "" && lines != 0:
+			t.Fatalf("%s: unexpected host note:\n%s", tc.name, md.String())
+		case tc.want != "" && (lines != 1 || !strings.Contains(md.String(), tc.want+"\n")):
+			t.Fatalf("%s: want one line %q:\n%s", tc.name, tc.want, md.String())
+		}
+	}
+}
+
+// Reports written before num_cpu was stamped still load, as unknown.
+func TestLoadReportWithoutNumCPU(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"schema":"mot-bench/v1","goos":"linux","goarch":"amd64","gomaxprocs":1,"benchmarks":[]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := LoadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoMaxProcs != 1 || rep.NumCPU != 0 {
+		t.Fatalf("gomaxprocs %d, num_cpu %d; want 1, 0", rep.GoMaxProcs, rep.NumCPU)
+	}
+}

@@ -21,48 +21,46 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
-// event is a scheduled continuation.
+// event is a scheduled continuation. Events are ordered by (at, seq);
+// seq is unique per engine, so the order is strict and total.
 type event struct {
 	at  float64
 	seq int64 // FIFO tie-break for equal times
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// before reports whether a runs before b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a deterministic discrete-event executor.
+//
+// Pending events live in two places. Events scheduled while Run is not
+// executing (a driver's issue times) are appended to backlog, which Run
+// sorts once on entry and then consumes from backlog[head:]. Events
+// scheduled from inside a callback (in-flight messages) go to heap, a
+// typed binary min-heap. Each step pops whichever of the backlog head
+// and the heap top comes first under (at, seq), so the execution order
+// is exactly that of a single priority queue over every event.
 type Engine struct {
-	now    float64
-	seq    int64
-	events eventHeap
-	steps  int64
-	limit  int64
-	faults FaultInjector
-	obs    *obs.Recorder
+	now     float64
+	seq     int64
+	heap    []event
+	backlog []event
+	head    int
+	running bool
+	steps   int64
+	limit   int64
+	faults  FaultInjector
+	obs     *obs.Recorder
 }
 
 // NewEngine returns an engine with the given step limit (a safety net
@@ -83,7 +81,12 @@ func (e *Engine) At(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	if !e.running {
+		e.backlog = append(e.backlog, ev)
+		return
+	}
+	e.push(ev)
 }
 
 // After schedules fn delay time units from now.
@@ -94,23 +97,110 @@ func (e *Engine) After(delay float64, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
+// push adds ev to the in-flight heap.
+func (e *Engine) push(ev event) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.heap = h
+}
+
+// pop removes and returns the heap's first event.
+func (e *Engine) pop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the closure
+	h = h[:n]
+	if n > 0 {
+		// Sift the former last element down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.heap = h
+	return top
+}
+
+// next removes and returns the first pending event (Pending() > 0).
+func (e *Engine) next() event {
+	if e.head == len(e.backlog) || (len(e.heap) > 0 && e.heap[0].before(&e.backlog[e.head])) {
+		return e.pop()
+	}
+	ev := e.backlog[e.head]
+	e.backlog[e.head] = event{} // release the closure
+	e.head++
+	if e.head == len(e.backlog) {
+		e.backlog, e.head = e.backlog[:0], 0
+	}
+	return ev
+}
+
+// sortBacklog sorts the unconsumed backlog by (at, seq). Its consumed
+// prefix is non-empty only after a Run stopped at the step limit.
+func (e *Engine) sortBacklog() {
+	slices.SortFunc(e.backlog[e.head:], func(a, b event) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
+		case a.seq < b.seq:
+			return -1
+		case a.seq > b.seq:
+			return 1
+		}
+		return 0
+	})
+}
+
 // SetObs installs a recorder for the engine's queue-depth and step-count
 // gauges; nil disables them.
 func (e *Engine) SetObs(r *obs.Recorder) { e.obs = r }
 
-// Run processes events until the queue drains. It returns an error if the
-// step limit is exceeded (which indicates a protocol livelock).
+// Run processes events in (at, seq) order until the queue drains. It
+// returns an error if one call would execute more than the step limit
+// (which indicates a protocol livelock); the event that would exceed
+// the limit stays pending, so a later Run resumes in order.
 func (e *Engine) Run() error {
-	for e.events.Len() > 0 {
-		if e.obs != nil {
-			e.obs.GaugeMax("engine.queue", float64(e.events.Len()))
+	e.running = true
+	defer func() { e.running = false }()
+	e.sortBacklog()
+	for ran := int64(0); ; ran++ {
+		pending := e.Pending()
+		if pending == 0 {
+			break
 		}
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		e.steps++
-		if e.steps > e.limit {
+		if e.obs != nil {
+			e.obs.GaugeMax("engine.queue", float64(pending))
+		}
+		if ran == e.limit {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v (livelock?)", e.limit, e.now)
 		}
+		ev := e.next()
+		e.now = ev.at
+		e.steps++
 		ev.fn()
 	}
 	if e.obs != nil {
@@ -120,7 +210,7 @@ func (e *Engine) Run() error {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.backlog) - e.head }
 
 // Steps returns the number of events processed so far.
 func (e *Engine) Steps() int64 { return e.steps }
