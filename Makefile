@@ -7,7 +7,9 @@
 #                  also writes motlint.sarif so CI can annotate PRs
 #   make race    — just the -race smoke tier (parallel sweep harness,
 #                  seed-stream splits, goroutine tracker + track.Group,
-#                  the striped hierarchy build at GOMAXPROCS 1 vs 4)
+#                  the striped hierarchy build at GOMAXPROCS 1 vs 4,
+#                  motserve's move combiner, coalescing and shutdown
+#                  drain order)
 #   make chaos   — just the chaos tier: seeded crash/drop/delay schedules
 #                  on both execution substrates under -race, with recovery
 #                  invariants asserted at quiescence and golden fault-trace
@@ -67,7 +69,7 @@
 GO ?= go
 
 RACE_PKGS = ./internal/experiments ./internal/runtime ./internal/runtime/track ./internal/mobility ./internal/graph ./internal/hier ./internal/serve
-RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle'
+RACE_RUN  = 'TestRace|TestParallel|TestGolden|TestStream|TestConcurrent|TestOracle|TestServeShutdown|TestServeCoalesc'
 
 CHAOS_PKGS = ./internal/chaos ./internal/core ./internal/sim ./internal/runtime ./internal/experiments ./internal/serve .
 CHAOS_RUN  = 'TestChaos|TestGoldenChaos|TestRaceDoubleStop|TestServeChaos'

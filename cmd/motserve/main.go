@@ -105,9 +105,9 @@ func run(argv []string) int {
 	code := 0
 	select {
 	case <-ctx.Done():
-		// Graceful drain: stop admitting, flush every acknowledged move,
-		// stop the drain loops. Bounded so a wedged client can't hold the
-		// process hostage.
+		// Graceful drain: stop admitting, then let in-flight handlers
+		// apply every move they were admitted with. Bounded so a wedged
+		// client can't hold the process hostage.
 		fmt.Fprintln(os.Stderr, "motserve: draining")
 		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		if err := s.Shutdown(dctx); err != nil {

@@ -24,11 +24,13 @@
 // trip (the measured gap rides along as overhead_pct) — and the PR-10
 // serving rows: serve/ops-publish|move|query each pin one full HTTP
 // round trip through the sharded motserve front end (mux dispatch,
-// shard hash, batched move drain, ack) with ops_per_sec and the
+// shard hash, combined move batch, ack) with ops_per_sec and the
 // server-side p50/p99 riding along as extras — and the event-engine row:
 // sim/concurrent-256 pins one 256-node concurrent MOT cell (schedule
 // plus engine drain), so the typed in-flight heap's allocation drop
-// cannot silently regress.
+// cannot silently regress — and the handler rows:
+// serve/handler-move|query drive Handler().ServeHTTP directly, with no
+// client and no server goroutine, so their allocs/op are pinned too.
 package bench
 
 import (
@@ -403,16 +405,17 @@ func simConcurrent() Result {
 
 // serveOps measures one full HTTP round trip of the named op class
 // against a live sharded serving front end: request encode, mux
-// dispatch, shard hash, the tracker op (through the batched drain loop
-// for moves, ack awaited), and response decode, serialized over a
-// keep-alive connection. Extra carries client-side ops_per_sec plus the
+// dispatch, shard hash, the tracker op (through the shard's move
+// combiner for moves, ack awaited), and response decode, serialized
+// over a keep-alive connection. Extra carries client-side ops_per_sec plus the
 // server-side p50/p99 for the class from the service-level recorder.
 //
 // The alloc columns are deliberately zeroed: testing.Benchmark counts
 // heap churn from every goroutine in the process, and here that spans
-// the HTTP client, the server's handlers, and the per-shard drain
-// loops, so allocs/op is scheduler noise rather than a per-op contract.
-// The pin these rows enforce is ns/op (the gate's 15% band).
+// the HTTP client's and the HTTP server's connection goroutines, so
+// allocs/op is scheduler noise rather than a per-op contract. The pin
+// these rows enforce is ns/op (the gate's 15% band); serveHandler pins
+// the allocations.
 func serveOps(class string) Result {
 	s, err := serve.New(serve.Config{Shards: 4, Nodes: 64, Seed: 1})
 	if err != nil {
@@ -492,6 +495,56 @@ func serveOps(class string) Result {
 	return res
 }
 
+// serveHandler measures one request of the named op class through
+// Handler().ServeHTTP into an httptest recorder, issued sequentially on
+// the benchmark goroutine: no HTTP client, no connection, and — moves
+// apply on the handler's own goroutine — no server goroutine, so
+// allocs/op is the request path's own (request and recorder
+// construction included) and is pinned alongside ns/op.
+func serveHandler(class string) Result {
+	s, err := serve.New(serve.Config{Shards: 4, Nodes: 64, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			panic(err)
+		}
+	}()
+	h := s.Handler()
+	do := func(method, path, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			panic(fmt.Sprintf("%s %s: status %d", method, path, rec.Code))
+		}
+	}
+	do("POST", "/v1/publish", `{"object":1,"node":0}`)
+	n := s.Graph().N()
+	var r testing.BenchmarkResult
+	switch class {
+	case "move":
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				do("POST", "/v1/move", fmt.Sprintf(`{"object":1,"to":%d}`, 1+i%(n-2)))
+			}
+		})
+	case "query":
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				do("GET", "/v1/query/1", "")
+			}
+		})
+	default:
+		panic("serveHandler: unknown class " + class)
+	}
+	res := toResult("serve/handler-"+class, r, nil)
+	res.Pinned = true
+	return res
+}
+
 // Run executes the whole suite. It takes a few seconds.
 func Run() *Report {
 	benchmarks := []Result{
@@ -518,6 +571,9 @@ func Run() *Report {
 	benchmarks = append(benchmarks, scaleCell(), churnCell(), best(3, simConcurrent))
 	for _, class := range []string{"publish", "move", "query"} {
 		benchmarks = append(benchmarks, best(3, func() Result { return serveOps(class) }))
+	}
+	for _, class := range []string{"move", "query"} {
+		benchmarks = append(benchmarks, best(5, func() Result { return serveHandler(class) }))
 	}
 	return &Report{
 		Schema:     "mot-bench/v1",

@@ -190,7 +190,8 @@ func RunCostRatio(cfg CostRatioConfig) (*CostRatioResult, error) {
 // runCells executes sweep cells on a bounded worker pool and returns the
 // per-cell meters indexed like cells. On failure it reports the error of
 // the earliest cell that failed (deterministic even when several workers
-// fail at once) and stops handing out further cells.
+// fail at once) and skips the cells after the earliest failure so far;
+// a cell before it still runs, since it may fail earlier.
 func runCells(cfg CostRatioConfig, cells []sweepCell) ([][]core.CostMeter, error) {
 	meters := make([][]core.CostMeter, len(cells))
 	errs := make([]error, len(cells))
@@ -198,13 +199,14 @@ func runCells(cfg CostRatioConfig, cells []sweepCell) ([][]core.CostMeter, error
 	if workers > len(cells) {
 		workers = len(cells)
 	}
-	var failed atomic.Bool
+	var firstFail atomic.Int64 // lowest failed cell index; len(cells) = none
+	firstFail.Store(int64(len(cells)))
 	jobs := make(chan int)
 	var pool track.Group
 	for w := 0; w < workers; w++ {
 		pool.Go(func() {
 			for ci := range jobs {
-				if failed.Load() {
+				if int64(ci) > firstFail.Load() {
 					continue
 				}
 				c := cells[ci]
@@ -212,7 +214,11 @@ func runCells(cfg CostRatioConfig, cells []sweepCell) ([][]core.CostMeter, error
 				ms, err := runOne(cfg, n, mobility.StreamSeed(cfg.BaseSeed, n, c.seedIdx))
 				if err != nil {
 					errs[ci] = fmt.Errorf("experiments: size %d seed %d: %w", n, c.seedIdx, err)
-					failed.Store(true)
+					for f := firstFail.Load(); int64(ci) < f; f = firstFail.Load() {
+						if firstFail.CompareAndSwap(f, int64(ci)) {
+							break
+						}
+					}
 					continue
 				}
 				meters[ci] = ms

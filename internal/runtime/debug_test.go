@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -252,43 +253,59 @@ func TestRaceDebugCloseDuringStop(t *testing.T) {
 // the bench harness: the same op sequence with live telemetry on must
 // not blow past the live-off time. The precise ≤10% pin lives in
 // internal/bench (runtime/ops-live-on vs -off, recorded in
-// BENCH_10.json); here we take min-of-3 trials and assert a loose 1.5×
-// ceiling so scheduler noise on 1-CPU CI can't flake the tier.
+// BENCH_10.json); here we assert a loose 1.5× ceiling. The live-off
+// and live-on trackers are built up front and their trials interleave,
+// off then on, so a burst of scheduler or frequency noise lands on both
+// sides. Each side's median trial is compared: its minimum is set by a
+// rare fast outlier, which one side may catch and the other miss.
 func TestLiveOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
 	}
-	run := func(lrec *live.Recorder) time.Duration {
-		g := graph.Grid(8, 8)
-		m := graph.NewMetric(g)
-		hs, err := hier.Build(g, m, hier.Config{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+	g := graph.Grid(8, 8)
+	m := graph.NewMetric(g)
+	hs, err := hier.Build(g, m, hier.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTracker := func(lrec *live.Recorder) *Tracker {
 		tr := NewWith(g, hs, Config{Live: lrec})
-		defer tr.Stop()
+		t.Cleanup(tr.Stop)
 		if err := tr.Publish(1, 0); err != nil {
 			t.Fatal(err)
 		}
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 3; trial++ {
-			t0 := time.Now()
-			for i := 0; i < 200; i++ {
-				if err := tr.Move(1, graph.NodeID(1+i%60)); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := tr.Query(63, 1); err != nil {
-					t.Fatal(err)
-				}
+		return tr
+	}
+	trial := func(tr *Tracker) time.Duration {
+		t0 := time.Now()
+		for i := 0; i < 200; i++ {
+			if err := tr.Move(1, graph.NodeID(1+i%60)); err != nil {
+				t.Fatal(err)
 			}
-			if d := time.Since(t0); d < best {
-				best = d
+			if _, _, err := tr.Query(63, 1); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return best
+		return time.Since(t0)
 	}
-	off := run(nil)
-	on := run(live.New("overhead", live.Config{}))
+	// One tracker instance can run persistently slower than another
+	// built the same way (up to ~40% between two live-off trackers), so
+	// each side's trials spread over several instances.
+	const instances, rounds = 4, 7
+	var offTr, onTr [instances]*Tracker
+	for k := range offTr {
+		offTr[k], onTr[k] = newTracker(nil), newTracker(live.New("overhead", live.Config{}))
+	}
+	var offs, ons []time.Duration
+	for i := 0; i < rounds; i++ {
+		for k := range offTr {
+			offs = append(offs, trial(offTr[k]))
+			ons = append(ons, trial(onTr[k]))
+		}
+	}
+	slices.Sort(offs)
+	slices.Sort(ons)
+	off, on := offs[len(offs)/2], ons[len(ons)/2]
 	if off > 0 && float64(on) > 1.5*float64(off) {
 		t.Fatalf("live-on %v vs live-off %v: overhead beyond loose 1.5x ceiling", on, off)
 	}

@@ -15,9 +15,9 @@ import (
 type ShardStatus struct {
 	ID    int    `json:"id"`
 	Label string `json:"label"`
-	// QueueDepth is the number of moves pending in the bounded queue at
-	// snapshot time; sustained depth near the configured bound means
-	// clients are about to see 429s.
+	// QueueDepth is the number of moves queued but not yet gathered by
+	// the shard's combiner at snapshot time; sustained depth near the
+	// configured bound means clients are about to see 429s.
 	QueueDepth int `json:"queue_depth"`
 	// Inflight is the number of synchronous ops holding window slots.
 	Inflight int `json:"inflight"`

@@ -96,7 +96,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // it returns. The HTTP server's own Shutdown already stops accepting
 // connections and waits for its handlers; the registration covers
 // handlers mounted without one (tests driving Handler directly), so
-// Shutdown never stops a drain loop a move handler still waits on.
+// Shutdown never returns while a move handler still waits on its ack.
 func (s *Server) admitted(w http.ResponseWriter) bool {
 	s.admitMu.RLock()
 	ok := !s.draining
@@ -187,14 +187,15 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	obj := core.ObjectID(req.Object)
 	sh := s.shardFor(obj)
 	st := s.agg.Start()
-	done, ok := sh.enqueueMove(obj, graph.NodeID(req.To))
+	mreq, ok := sh.enqueueMove(obj, graph.NodeID(req.To))
 	if !ok {
 		s.reject(w, "shard move queue full")
 		return
 	}
-	// Block until the drain loop applies (or coalesces) the report: the
-	// 200 below is the ack the no-lost-moves guarantee hangs off.
-	res := <-done
+	// Apply (or coalesce) the report as the shard's combiner, or wait for
+	// the combiner to: the 200 below is the ack the no-lost-moves
+	// guarantee hangs off.
+	res := sh.awaitMove(mreq)
 	s.agg.Observe(live.ClassMove, st, int(obj), res.err)
 	if res.err != nil {
 		writeErr(w, opStatus(res.err), res.err.Error())

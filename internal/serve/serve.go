@@ -10,22 +10,24 @@
 // and overlay hierarchy, with its own wall-clock telemetry recorder
 // (internal/obs/live, labeled serve-shard-<i>) timing every directory
 // op. The shard is the unit of concurrency; its ops execute one at a
-// time under the shard lock. Publishes and queries execute
-// synchronously under a per-shard inflight window; moves flow through a
-// per-shard bounded queue into a drain loop that batches whatever is
-// pending and coalesces multiple queued moves of the same object into
-// the latest position before touching the directory (the paper's
-// one-by-one discipline then pays one maintenance operation for a burst
-// of position reports). Every accepted move is acknowledged only after
-// its batch applies, so a 200 means the trail reflects the report —
-// nothing acknowledged can be lost by a drain.
+// time under the shard lock, and it owns no goroutine. Publishes and
+// queries execute synchronously under a per-shard inflight window;
+// moves enter a per-shard bounded queue that the move handlers drain
+// themselves by flat combining: the handler that finds no combiner in
+// charge becomes it, batches whatever is pending, its own move included,
+// and coalesces multiple queued moves of the same object into the
+// latest position before touching the directory (the paper's one-by-one
+// discipline then pays one maintenance operation for a burst of
+// position reports); the others wait for its ack. Every accepted move
+// is acknowledged only after its batch applies, so a 200 means the
+// trail reflects the report — nothing acknowledged can be lost.
 //
 // Backpressure. Both admission paths are bounded: a full move queue or
 // a saturated inflight window answers 429 with a Retry-After hint
 // instead of queueing unboundedly. Shutdown drains in dependency
-// order — stop admitting, finish in-flight handlers (which flushes the
-// move queues, since handlers block for their acks), then stop the
-// drain loops — so SIGTERM never abandons acknowledged work.
+// order — stop admitting, then finish in-flight handlers, which flushes
+// the move queues since handlers block for their acks — so SIGTERM
+// never abandons acknowledged work.
 //
 // Observability and chaos. /debug/serve aggregates ops/sec, queue
 // depths and per-class p50/p99 across shards; each shard's live
@@ -247,12 +249,12 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains the server in dependency order: stop admitting
-// requests (new arrivals answer 503), let in-flight handlers finish —
-// which flushes the move queues, because a move handler only returns
-// once its batch applied — then stop the drain loops. Acknowledged
-// moves are therefore always applied before the drain ends: a drain
-// loses nothing a client was told succeeded. Idempotent and safe to
-// call concurrently; every call returns the first drain's error.
+// requests (new arrivals answer 503), then let in-flight handlers
+// finish — which flushes the move queues, because a move handler only
+// returns once its move applied. Acknowledged moves are therefore
+// always applied before the drain ends: a drain loses nothing a client
+// was told succeeded. Idempotent and safe to call concurrently; every
+// call returns the first drain's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.admitMu.Lock()
@@ -270,12 +272,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 		}
 		s.handlers.Wait()
-		for _, sh := range s.shards {
-			sh.stopLoop()
-		}
-		for _, sh := range s.shards {
-			sh.loops.Wait()
-		}
 		s.closeErr = err
 	})
 	return s.closeErr
@@ -292,9 +288,9 @@ func (s *Server) setDown(n graph.NodeID, down bool) {
 	}
 }
 
-// newShard starts shard i's directory and drain loop.
+// newShard builds shard i's directory and move queue.
 func newShard(i int, s *Server, ov overlay.Overlay) *shard {
-	sh := &shard{
+	return &shard{
 		id:  i,
 		srv: s,
 		live: live.New(fmt.Sprintf("serve-shard-%d", i), live.Config{
@@ -304,8 +300,5 @@ func newShard(i int, s *Server, ov overlay.Overlay) *shard {
 		dir:   core.New(ov, core.Config{}),
 		moveQ: make(chan moveReq, s.cfg.QueueDepth),
 		sem:   make(chan struct{}, s.cfg.Inflight),
-		quit:  make(chan struct{}),
 	}
-	sh.loops.Go(sh.drainLoop)
-	return sh
 }

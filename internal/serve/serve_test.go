@@ -227,9 +227,221 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
+// serveAsync runs one request through h on its own goroutine, returning
+// the recorder and a channel closed once the handler returned.
+func serveAsync(g *track.Group, h http.Handler, method, path, body string) (*httptest.ResponseRecorder, chan struct{}) {
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	g.Go(func() {
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		close(done)
+	})
+	return rec, done
+}
+
+// waitQueued polls until sh holds n queued moves.
+func waitQueued(t *testing.T, sh *shard, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); sh.queueDepth() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", sh.queueDepth(), n)
+		}
+	}
+}
+
+// TestServeCoalescingThroughHandler is TestServeCoalescing through the
+// real move path: with the combiner role held, a burst of moves for one
+// object plus one for another queue up behind it through Handler, in a
+// known order; the last of the burst then takes the role over and
+// applies them all as one batch — 2 directory ops, the superseded acks
+// coalesced, the object at its latest target.
+func TestServeCoalescingThroughHandler(t *testing.T) {
+	s, err := New(Config{Shards: 1, Nodes: 36, Seed: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	for o := 1; o <= 2; o++ {
+		if err := sh.publish(core.ObjectID(o), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opsBefore := sh.live.Snapshot().Total.Count
+
+	var g track.Group
+	sh.combine.Store(1)
+	moves := []struct{ obj, to int }{{1, 5}, {2, 9}, {1, 11}}
+	recs := make([]*httptest.ResponseRecorder, len(moves))
+	for i, m := range moves {
+		recs[i], _ = serveAsync(&g, s.Handler(), "POST", "/v1/move", moveBody(m.obj, m.to))
+		waitQueued(t, sh, i+1) // one at a time: arrival order is the slice order
+	}
+	last, ok := sh.enqueueMove(1, 23)
+	if !ok {
+		t.Fatal("enqueue: queue full")
+	}
+	sh.combine.Store(0)
+	if res := sh.awaitMove(last); res.err != nil || res.coalesced {
+		t.Fatalf("last move: %+v, want applied", res)
+	}
+	g.Wait()
+
+	wantCoalesced := []bool{true, false, true}
+	for i, rec := range recs {
+		var res moveResponse
+		if rec.Code != http.StatusOK {
+			t.Fatalf("move %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Coalesced != wantCoalesced[i] {
+			t.Errorf("move %d coalesced = %v, want %v", i, res.Coalesced, wantCoalesced[i])
+		}
+	}
+	if loc, _ := s.Location(1); loc != 23 {
+		t.Fatalf("object 1 at %d, want the latest queued position 23", loc)
+	}
+	if loc, _ := s.Location(2); loc != 9 {
+		t.Fatalf("object 2 at %d, want 9", loc)
+	}
+	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 2 {
+		t.Fatalf("directory ops for the burst = %d, want 2 (coalesced)", got)
+	}
+	if n := sh.combine.Load(); n != 0 {
+		t.Fatalf("combiner count %d after the burst, want 0 (released)", n)
+	}
+}
+
+// TestServeCombinerRecheck pins no-stranding: a move that queues while
+// the combiner is mid-apply — after its gather, so that pass cannot
+// include it — and whose handler then finds the role taken must still
+// be applied, by the combiner's failed reset and next pass.
+func TestServeCombinerRecheck(t *testing.T) {
+	s, err := New(Config{Shards: 1, Nodes: 16, Seed: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	if err := sh.publish(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	opsBefore := sh.live.Snapshot().Total.Count
+	var g track.Group
+	// Holding mu parks the first move's combiner inside its apply once
+	// it has gathered the queue empty.
+	sh.mu.Lock()
+	first, ok := sh.enqueueMove(1, 5)
+	if !ok {
+		t.Fatal("enqueue: queue full")
+	}
+	var firstRes moveResult
+	g.Go(func() { firstRes = sh.awaitMove(first) })
+	waitQueued(t, sh, 0)
+	second, secondDone := serveAsync(&g, s.Handler(), "POST", "/v1/move", moveBody(1, 9))
+	for deadline := time.Now().Add(5 * time.Second); sh.combine.Load() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("combiner count %d, want 2 (the second handler waiting)", sh.combine.Load())
+		}
+	}
+	sh.mu.Unlock()
+	select {
+	case <-secondDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second move never returned: stranded behind the combiner")
+	}
+	g.Wait()
+	if firstRes.err != nil || firstRes.coalesced {
+		t.Fatalf("first move: %+v, want applied on its own", firstRes)
+	}
+	if second.Code != http.StatusOK {
+		t.Fatalf("second move: status %d: %s", second.Code, second.Body)
+	}
+	if loc, _ := s.Location(1); loc != 9 {
+		t.Fatalf("object 1 at %d, want 9", loc)
+	}
+	if got := sh.live.Snapshot().Total.Count - opsBefore; got != 2 {
+		t.Fatalf("directory ops = %d, want 2 (two passes, nothing to coalesce)", got)
+	}
+}
+
+// TestServeCombinerHandoff pins the combiner's work bound: a holder
+// that has applied a queue's worth of moves (cap(moveQ) = 2 here) while
+// more are pending hands the combiner role to the request at the head
+// of the queue instead of looping on; that request's waiter then
+// combines it and lets go.
+func TestServeCombinerHandoff(t *testing.T) {
+	s, err := New(Config{Shards: 1, Nodes: 16, Seed: 1, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	for o := 1; o <= 3; o++ {
+		if err := sh.publish(core.ObjectID(o), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enqueue := func(o, to int) moveReq {
+		req, ok := sh.enqueueMove(core.ObjectID(o), graph.NodeID(to))
+		if !ok {
+			t.Fatalf("enqueue %d: queue full", o)
+		}
+		return req
+	}
+	// Holding mu parks the first combiner mid-apply once it has
+	// gathered moves 1 and 2, its whole budget; move 3 queues meanwhile.
+	sh.mu.Lock()
+	r1, r2 := enqueue(1, 5), enqueue(2, 5)
+	var res1 moveResult
+	var g track.Group
+	g.Go(func() { res1 = sh.awaitMove(r1) })
+	waitQueued(t, sh, 0)
+	r3 := enqueue(3, 7)
+	sh.mu.Unlock()
+	g.Wait()
+	if res2 := <-r2.done; res1.err != nil || res1.handoff || res2.err != nil || res2.handoff {
+		t.Fatalf("moves 1, 2: %+v, %+v, want applied", res1, res2)
+	}
+	if sh.queueDepth() != 0 || sh.combine.Load() == 0 {
+		t.Fatal("the spent combiner must dequeue move 3 and hand it the role")
+	}
+	// Move 3's waiter takes the handoff, applies its move, lets go.
+	if res3 := sh.awaitMove(r3); res3.err != nil || res3.handoff {
+		t.Fatalf("move 3 after the handoff: %+v, want applied", res3)
+	}
+	if loc, _ := s.Location(3); loc != 7 {
+		t.Fatalf("object 3 at %d, want 7", loc)
+	}
+	if n := sh.combine.Load(); n != 0 {
+		t.Fatalf("combiner count %d after the handed-off pass, want 0 (released)", n)
+	}
+}
+
+// TestServeNoShardGoroutines pins the combiner's cost in goroutines:
+// building a 16-shard server starts none that outlive New.
+func TestServeNoShardGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(Config{Shards: 16, Nodes: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Build workers exit just after New's waits return, and an earlier
+	// test's goroutines may still be exiting: wait for the count to
+	// settle back to at most the starting count.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d before New, %d after: shards must start none", before, after)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeBackpressure exercises both 429 paths deterministically: a
 // saturated inflight window (slot held externally) and a full move
-// queue (drain loop stopped, queue stuffed). Both must carry the
+// queue (stuffed with a move nobody awaits yet). Both must carry the
 // Retry-After hint, count into the rejected meter, and clear once the
 // pressure lifts.
 func TestServeBackpressure(t *testing.T) {
@@ -260,12 +472,12 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatalf("query after release: status %d", resp.StatusCode)
 	}
 
-	// Full move queue: stop the drain loop, stuff the one slot, then a
-	// client move must shed instead of blocking.
-	sh.stopLoop()
-	sh.loops.Wait()
-	if _, ok := sh.enqueueMove(1, 2); !ok {
-		t.Fatal("stuffing the stopped queue failed")
+	// Full move queue: stuff the one slot directly — no goroutine
+	// drains it until someone awaits — then a client move must shed
+	// instead of blocking.
+	stuffed, ok := sh.enqueueMove(1, 2)
+	if !ok {
+		t.Fatal("stuffing the queue failed")
 	}
 	resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(1, 3), nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -276,6 +488,16 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	if got := s.Snapshot().Rejected; got != 3 {
 		t.Fatalf("rejected meter = %d, want 3", got)
+	}
+	// Awaiting the stuffed move combines it; the queue then admits again.
+	if res := sh.awaitMove(stuffed); res.err != nil || res.coalesced {
+		t.Fatalf("stuffed move: %+v", res)
+	}
+	if loc, _ := s.Location(1); loc != 2 {
+		t.Fatalf("object 1 at %d after the stuffed move, want 2", loc)
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/move", moveBody(1, 3), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("move after the queue drained: status %d", resp.StatusCode)
 	}
 }
 
@@ -657,6 +879,72 @@ func TestServeShutdownWaitsForHandlers(t *testing.T) {
 	}
 	if loc, _ := s.Location(1); loc != 9 {
 		t.Fatalf("in-flight move acked but object at %d, want 9", loc)
+	}
+}
+
+// TestRaceServeCombining hammers one shard's combiner for the -race
+// tier: writers each own two objects and stream sequential moves
+// through Handler at a queue of depth 4, so combiners apply each
+// other's moves, hand off at the budget, and shed 429s. Every handler
+// must return before the deadline (no stranded waiter), every object
+// must end at its last acknowledged position, and the queue must be
+// empty at quiescence.
+func TestRaceServeCombining(t *testing.T) {
+	s, err := New(Config{Shards: 1, Nodes: 36, Seed: 3, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	const writers, moves = 8, 150
+	lastAcked := make([]int64, 2*writers)
+	for o := range lastAcked {
+		if err := sh.publish(core.ObjectID(o), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := s.Handler()
+	var g track.Group
+	for w := 0; w < writers; w++ {
+		g.Go(func() {
+			for i := 1; i <= moves; i++ {
+				obj, to := 2*w+i%2, (w+i)%36
+				for {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/move", strings.NewReader(moveBody(obj, to))))
+					if rec.Code == http.StatusOK {
+						lastAcked[obj] = int64(to)
+						break
+					}
+					if rec.Code != http.StatusTooManyRequests {
+						t.Errorf("object %d move: status %d", obj, rec.Code)
+						return
+					}
+				}
+			}
+		})
+	}
+	finished := make(chan struct{})
+	var waiter track.Group
+	waiter.Go(func() {
+		g.Wait()
+		close(finished)
+	})
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("move handlers still blocked after 60s (queue depth %d): a waiter was stranded", sh.queueDepth())
+	}
+	waiter.Wait()
+	for o, want := range lastAcked {
+		if loc, _ := s.Location(core.ObjectID(o)); int64(loc) != want {
+			t.Errorf("object %d at %d, last acked move was to %d", o, loc, want)
+		}
+	}
+	if d := sh.queueDepth(); d != 0 {
+		t.Fatalf("queue depth %d at quiescence, want 0", d)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

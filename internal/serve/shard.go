@@ -2,17 +2,17 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/live"
-	"repro/internal/runtime/track"
 )
 
-// moveReq is one queued position report: apply carries the outcome back
-// on done, which the admitting handler blocks on — the HTTP ack IS the
-// application, so nothing acknowledged can be lost.
+// moveReq is one queued position report. Whoever applies it carries
+// the outcome back on done, which the admitting handler blocks on — the
+// HTTP ack IS the application, so nothing acknowledged can be lost.
 type moveReq struct {
 	obj  core.ObjectID
 	to   graph.NodeID
@@ -27,11 +27,13 @@ type moveResult struct {
 	// the ack still means "the trail reflects a report at least as new
 	// as yours".
 	coalesced bool
+	// handoff is no outcome: the request was dequeued unapplied, and
+	// its waiter is now the combiner (see awaitMove).
+	handoff bool
 }
 
 // shard is one partition of the object space: a core.Directory over the
-// server's shared overlay plus the bounded move queue and drain loop in
-// front of it.
+// server's shared overlay plus the bounded move queue in front of it.
 type shard struct {
 	id   int
 	srv  *Server
@@ -47,19 +49,13 @@ type shard struct {
 	// moveQ is the bounded pending-move queue; a full queue is
 	// backpressure (429), never a blocked handler.
 	moveQ chan moveReq
+	// combine counts the move handlers that arrived since the current
+	// combiner — moveQ's only consumer — took over; 0 means none holds
+	// the role. The arrival that lifts it from 0 combines.
+	combine atomic.Int64
 	// sem is the inflight window for synchronous ops (publish/query);
 	// a try-acquire miss is backpressure too.
 	sem chan struct{}
-
-	quit     chan struct{}
-	quitOnce sync.Once
-	loops    track.Group
-}
-
-// stopLoop signals the drain loop to flush and exit; idempotent so
-// tests can stop one shard's loop ahead of a full Shutdown.
-func (sh *shard) stopLoop() {
-	sh.quitOnce.Do(func() { close(sh.quit) })
 }
 
 // tryAcquire claims an inflight slot without blocking.
@@ -77,45 +73,54 @@ func (sh *shard) release() { <-sh.sem }
 // enqueueMove admits a move into the bounded queue. ok=false means the
 // queue is full right now — the caller answers 429 and the client
 // retries; nothing was accepted, so nothing can be lost.
-func (sh *shard) enqueueMove(obj core.ObjectID, to graph.NodeID) (chan moveResult, bool) {
+func (sh *shard) enqueueMove(obj core.ObjectID, to graph.NodeID) (moveReq, bool) {
 	req := moveReq{obj: obj, to: to, done: make(chan moveResult, 1)}
 	select {
 	case sh.moveQ <- req:
-		return req.done, true
+		return req, true
 	default:
-		return nil, false
+		return moveReq{}, false
 	}
 }
 
-// drainLoop is the shard's single consumer: block for one pending move,
-// gather whatever else is queued behind it, coalesce per object, apply,
-// ack. Because handlers block on their done channels and Server.Shutdown
-// only closes quit after every handler has returned, a closed quit
-// implies an empty queue — the final gather below is belt and braces for
-// direct (non-HTTP) enqueuers in tests.
-func (sh *shard) drainLoop() {
-	for {
-		select {
-		case <-sh.quit:
-			sh.applyBatch(sh.gather(nil))
-			return
-		case first := <-sh.moveQ:
-			sh.applyBatch(sh.gather([]moveReq{first}))
+// awaitMove returns the outcome of req, already enqueued. The arrival
+// that becomes the combiner applies the queue, its own request
+// included; the others wait for their acks. A combiner lets go only by
+// resetting the count it read before its last gather, so an arrival it
+// may have missed fails the reset and gets another pass. Past cap(moveQ)
+// moves, it hands the role to the head request's waiter instead.
+func (sh *shard) awaitMove(req moveReq) moveResult {
+	var batch []moveReq
+	if sh.combine.Add(1) > 1 {
+		if res := <-req.done; !res.handoff {
+			return res
+		}
+		batch = append(batch, req)
+	}
+	for budget := cap(sh.moveQ); ; batch = nil {
+		seen := sh.combine.Load()
+		batch = sh.gather(batch, budget)
+		budget -= len(batch)
+		sh.applyBatch(batch)
+		if budget <= 0 && sh.queueDepth() > 0 {
+			(<-sh.moveQ).done <- moveResult{handoff: true}
+			break
+		}
+		if sh.combine.CompareAndSwap(seen, 0) {
+			break
 		}
 	}
+	return <-req.done
 }
 
-// gather drains everything currently queued, without blocking, onto
-// batch. Arrival order is preserved — coalescing depends on it.
-func (sh *shard) gather(batch []moveReq) []moveReq {
-	for {
-		select {
-		case req := <-sh.moveQ:
-			batch = append(batch, req)
-		default:
-			return batch
-		}
+// gather moves up to limit queued requests onto batch, in arrival
+// order — coalescing depends on it. Only the combiner consumes moveQ,
+// so a non-empty queue never blocks the receive.
+func (sh *shard) gather(batch []moveReq, limit int) []moveReq {
+	for len(batch) < limit && sh.queueDepth() > 0 {
+		batch = append(batch, <-sh.moveQ)
 	}
+	return batch
 }
 
 // applyBatch collapses the batch to one directory op per object — the
