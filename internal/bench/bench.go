@@ -30,7 +30,10 @@
 // plus engine drain), so the typed in-flight heap's allocation drop
 // cannot silently regress — and the handler rows:
 // serve/handler-move|query drive Handler().ServeHTTP directly, with no
-// client and no server goroutine, so their allocs/op are pinned too.
+// client and no server goroutine, so their allocs/op are pinned too —
+// and the overlay-build rows: hier/build-10000 and its GOMAXPROCS-1 twin
+// hier/build-10000-p1 time hier.Build on motserve's default 10k-node
+// oracle overlay (tracked, not pinned).
 package bench
 
 import (
@@ -545,6 +548,29 @@ func serveHandler(class string) Result {
 	return res
 }
 
+// hierBuild measures hier.Build on motserve's default overlay: a
+// NearSquareGrid(10000) on the landmark oracle with seed 1, built once
+// outside the timer, and Config{Seed: 1}. procs > 0 pins GOMAXPROCS for
+// the measurement (the build stripes its ball searches across it). The
+// row is not pinned: the oracle's pooled Near scratch makes allocs/op
+// drift by a few dozen between runs.
+func hierBuild(name string, procs int) Result {
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	g := graph.NearSquareGrid(10000)
+	o := graph.NewOracle(g, graph.OracleConfig{Seed: 1})
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := hier.Build(g, o, hier.Config{Seed: 1}); err != nil {
+				panic(err)
+			}
+		}
+	})
+	return toResult(name, r, map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))})
+}
+
 // Run executes the whole suite. It takes a few seconds.
 func Run() *Report {
 	benchmarks := []Result{
@@ -575,6 +601,7 @@ func Run() *Report {
 	for _, class := range []string{"move", "query"} {
 		benchmarks = append(benchmarks, best(5, func() Result { return serveHandler(class) }))
 	}
+	benchmarks = append(benchmarks, hierBuild("hier/build-10000", 0), hierBuild("hier/build-10000-p1", 1))
 	return &Report{
 		Schema:     "mot-bench/v1",
 		GoOS:       runtime.GOOS,

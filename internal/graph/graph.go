@@ -257,6 +257,14 @@ func (g *Graph) Clone() *Graph {
 
 func (g *Graph) valid(u NodeID) bool { return u >= 0 && int(u) < g.n }
 
+// checkFilter panics unless the Near membership filter in is nil or holds
+// one flag per node.
+func (g *Graph) checkFilter(in []bool) {
+	if in != nil && len(in) != g.n {
+		panic(fmt.Sprintf("graph: Near filter has %d flags for n=%d", len(in), g.n))
+	}
+}
+
 // String summarizes the graph for diagnostics.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d geometric=%t}", g.n, g.nEdges, g.HasPositions())

@@ -26,8 +26,11 @@ import (
 //     algorithm needs only hierarchy- and de Bruijn-local distances, and
 //     those local queries stay exact in every implementation; only
 //     far-pair Dist may be approximate.
-//   - Near returns all v with d(u,v) ≤ r in ascending node order, with
-//     exact distances.
+//   - Near returns all v with d(u,v) ≤ r and in[v] in ascending node
+//     order, with exact distances; in == nil admits every node. The
+//     filter only narrows what is emitted: distances still run through
+//     non-members, so a filtered answer is the unfiltered one with the
+//     non-members dropped.
 //   - Diameter is exact on *Metric; approximate implementations must
 //     return an upper bound within a factor 2 of the true diameter (+Inf
 //     for disconnected graphs either way), so callers using it only in
@@ -39,9 +42,11 @@ type DistanceOracle interface {
 	Graph() *Graph
 	// Dist returns the (possibly estimated) shortest-path distance.
 	Dist(u, v NodeID) float64
-	// Near returns every node within distance r of u (including u) with
-	// its exact distance, sorted by ascending node ID.
-	Near(u NodeID, r float64) []Neighbor
+	// Near returns every node v within distance r of u (including u)
+	// with in[v] set, each with its exact distance, sorted by ascending
+	// node ID. in == nil means every node; otherwise it must hold one
+	// flag per node, or Near panics.
+	Near(u NodeID, r float64, in []bool) []Neighbor
 	// Ball returns the nodes within distance r of u (including u),
 	// ascending.
 	Ball(u NodeID, r float64) []NodeID
@@ -335,9 +340,12 @@ func (g *Graph) nearestInto(src NodeID, k int, dist []float64, touched *[]NodeID
 }
 
 // withinInto settles every node within distance r of src (exact,
-// output-sensitive: the search never leaves the ball). dist must be
-// all-+Inf on entry and is restored on exit.
-func (g *Graph) withinInto(src NodeID, r float64, dist []float64, touched *[]NodeID, h *distHeap) []Neighbor {
+// output-sensitive: the search never leaves the ball) and returns the
+// settled nodes v with in[v] (all of them when in is nil), ascending by
+// ID. Non-members are settled too, since shortest paths run through
+// them, but only members are kept and sorted. dist must be all-+Inf on
+// entry and is restored on exit.
+func (g *Graph) withinInto(src NodeID, r float64, in []bool, dist []float64, touched *[]NodeID, h *distHeap) []Neighbor {
 	*touched = (*touched)[:0]
 	*h = (*h)[:0]
 	dist[src] = 0
@@ -349,7 +357,9 @@ func (g *Graph) withinInto(src NodeID, r float64, dist []float64, touched *[]Nod
 		if it.d > dist[it.node] || it.d > r {
 			continue
 		}
-		settled = append(settled, Neighbor{Node: it.node, D: it.d})
+		if in == nil || in[it.node] {
+			settled = append(settled, Neighbor{Node: it.node, D: it.d})
+		}
 		for _, e := range g.adj[it.node] {
 			if nd := it.d + e.w; nd < dist[e.to] && nd <= r {
 				if dist[e.to] == Inf {
@@ -487,36 +497,35 @@ func (o *Oracle) Dist(u, v NodeID) float64 {
 	return best
 }
 
-// near answers Near/Ball/BallSize: the sketch when it provably covers
-// radius r, otherwise an on-demand radius-bounded Dijkstra (transient,
-// output-sensitive — never an n-sized row).
-func (o *Oracle) near(u NodeID, r float64) []Neighbor {
+// Near returns every node v within distance r of u with in[v] (every
+// node when in is nil), each with its exact distance, ascending by node
+// ID: the sketch when it provably covers radius r, otherwise an
+// on-demand radius-bounded Dijkstra (transient, output-sensitive —
+// never an n-sized row).
+func (o *Oracle) Near(u NodeID, r float64, in []bool) []Neighbor {
 	if !o.g.valid(u) {
 		panic(fmt.Sprintf("graph: Near(%d) out of range for n=%d", u, o.g.N()))
 	}
+	o.g.checkFilter(in)
 	if r < o.rsketch[u] {
 		sk := o.sketch[u]
 		out := make([]Neighbor, 0, len(sk))
 		for _, nb := range sk {
-			if nb.D <= r {
+			if nb.D <= r && (in == nil || in[nb.Node]) {
 				out = append(out, nb)
 			}
 		}
 		return out
 	}
 	sc := o.scratch.Get().(*nearScratch)
-	out := o.g.withinInto(u, r, sc.dist, &sc.touched, &sc.h)
+	out := o.g.withinInto(u, r, in, sc.dist, &sc.touched, &sc.h)
 	o.scratch.Put(sc)
 	return out
 }
 
-// Near returns every node within distance r of u with its exact
-// distance, ascending by node ID.
-func (o *Oracle) Near(u NodeID, r float64) []Neighbor { return o.near(u, r) }
-
 // Ball returns the nodes within distance r of u (including u).
 func (o *Oracle) Ball(u NodeID, r float64) []NodeID {
-	nbs := o.near(u, r)
+	nbs := o.Near(u, r, nil)
 	out := make([]NodeID, len(nbs))
 	for i, nb := range nbs {
 		out[i] = nb.Node

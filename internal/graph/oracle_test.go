@@ -105,7 +105,11 @@ func TestOracleRelaxedTriangle(t *testing.T) {
 
 // TestOracleNearExact pins the exactness contract of the local queries:
 // Near/Ball/BallSize agree with the exact metric on every implementation,
-// for radii both inside and outside the sketch guarantee.
+// for radii both inside and outside the sketch guarantee. The membership
+// filter is checked on both implementations too: Near(u, r, in) is
+// exactly Near(u, r, nil) with the non-members dropped, for a nil, a
+// seeded ~30%, an all-false and an all-true filter, and a filter of the
+// wrong length panics.
 func TestOracleNearExact(t *testing.T) {
 	for _, fam := range oracleFamilies() {
 		g := fam.g
@@ -117,12 +121,51 @@ func TestOracleNearExact(t *testing.T) {
 				diam = 40
 			}
 			rng := rand.New(rand.NewSource(23))
+			some, none, all := make([]bool, g.N()), make([]bool, g.N()), make([]bool, g.N())
+			for v := range some {
+				some[v] = rng.Float64() < 0.3
+				all[v] = true
+			}
+			filters := []struct {
+				name string
+				in   []bool
+			}{{"nil", nil}, {"30%", some}, {"none", none}, {"all", all}}
+			impls := []struct {
+				name string
+				DistanceOracle
+			}{{"metric", m}, {"oracle", o}}
+			var inSketch, beyond int
 			radii := []float64{0, 0.5, 1, 2, diam / 4, diam / 2, diam, diam + 1}
 			for i := 0; i < 40; i++ {
 				u := NodeID(rng.Intn(g.N()))
 				for _, r := range radii {
-					want := m.Near(u, r)
-					got := o.Near(u, r)
+					if r < o.rsketch[u] {
+						inSketch++
+					} else {
+						beyond++
+					}
+					for _, impl := range impls {
+						full := impl.Near(u, r, nil)
+						for _, f := range filters {
+							var want []Neighbor
+							for _, nb := range full {
+								if f.in == nil || f.in[nb.Node] {
+									want = append(want, nb)
+								}
+							}
+							got := impl.Near(u, r, f.in)
+							if len(got) != len(want) {
+								t.Fatalf("%s.Near(%d,%v,%s): %d nodes, want %d (the unfiltered answer, filtered)", impl.name, u, r, f.name, len(got), len(want))
+							}
+							for j := range want {
+								if got[j] != want[j] {
+									t.Fatalf("%s.Near(%d,%v,%s)[%d]: %+v, want %+v (the unfiltered answer, filtered)", impl.name, u, r, f.name, j, got[j], want[j])
+								}
+							}
+						}
+					}
+					want := m.Near(u, r, nil)
+					got := o.Near(u, r, nil)
 					if len(want) != len(got) {
 						t.Fatalf("Near(%d,%v): %d vs exact %d nodes", u, r, len(got), len(want))
 					}
@@ -144,6 +187,19 @@ func TestOracleNearExact(t *testing.T) {
 						}
 					}
 				}
+			}
+			if inSketch == 0 || beyond == 0 {
+				t.Fatalf("radii hit the sketch %d times and the search %d times, want both", inSketch, beyond)
+			}
+			for _, impl := range impls {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s.Near with %d filter flags for n=%d did not panic", impl.name, g.N()-1, g.N())
+						}
+					}()
+					impl.Near(0, 1, make([]bool, g.N()-1))
+				}()
 			}
 		})
 	}
@@ -187,7 +243,7 @@ func TestOracleDisconnected(t *testing.T) {
 	if got := o.BallSize(7, 100); got != 1 {
 		t.Fatalf("BallSize(isolated, 100) = %d, want 1", got)
 	}
-	if nbs := o.Near(8, math.Inf(1)); len(nbs) != 1 || nbs[0].Node != 8 {
+	if nbs := o.Near(8, math.Inf(1), nil); len(nbs) != 1 || nbs[0].Node != 8 {
 		t.Fatalf("Near(isolated, +Inf) = %v", nbs)
 	}
 }
@@ -234,7 +290,7 @@ func TestOracleConcurrentReads(t *testing.T) {
 				if d := o.Dist(u, v); d < 0 {
 					panic("negative distance")
 				}
-				_ = o.Near(u, float64(rng.Intn(8)))
+				_ = o.Near(u, float64(rng.Intn(8)), nil)
 				_ = o.Diameter()
 			}
 		})
@@ -372,7 +428,7 @@ func TestOracleMetricInterchange(t *testing.T) {
 	if got, want := EstimateDoubling(m, 16), m.DoublingEstimate(16); got != want {
 		t.Fatalf("EstimateDoubling %v != DoublingEstimate %v", got, want)
 	}
-	nbs := exact.Near(0, 2)
+	nbs := exact.Near(0, 2, nil)
 	ball := exact.Ball(0, 2)
 	if len(nbs) != len(ball) || len(nbs) != exact.BallSize(0, 2) {
 		t.Fatalf("Near/Ball/BallSize disagree: %d/%d/%d", len(nbs), len(ball), exact.BallSize(0, 2))
@@ -416,7 +472,7 @@ func TestOracleBallSizeMatchesNear(t *testing.T) {
 		for _, r := range []float64{0, 0.5, 1, 2, diam / 2, diam, diam * 2} {
 			for u := 0; u < fam.g.N(); u += 17 {
 				got := o.BallSize(NodeID(u), r)
-				want := len(o.Near(NodeID(u), r))
+				want := len(o.Near(NodeID(u), r, nil))
 				if got != want {
 					t.Fatalf("%s: BallSize(%d, %v) = %d, Near gives %d", fam.name, u, r, got, want)
 				}

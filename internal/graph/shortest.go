@@ -407,15 +407,17 @@ func (m *Metric) Ball(u NodeID, r float64) []NodeID {
 	return out
 }
 
-// Near returns every node within distance r of u (including u) with its
-// exact distance, sorted by ascending node ID. On a Metric this is a row
-// scan — lazy use computes (and may freeze) the row like Ball does; large-n
-// callers that must avoid the n×n table use an *Oracle instead.
-func (m *Metric) Near(u NodeID, r float64) []Neighbor {
+// Near returns every node v within distance r of u (including u) with
+// in[v] (every node when in is nil), each with its exact distance, sorted
+// by ascending node ID. On a Metric this is a row scan — lazy use
+// computes (and may freeze) the row like Ball does; large-n callers that
+// must avoid the n×n table use an *Oracle instead.
+func (m *Metric) Near(u NodeID, r float64, in []bool) []Neighbor {
 	row := m.Row(u)
+	m.g.checkFilter(in)
 	var out []Neighbor
 	for v, d := range row {
-		if d <= r {
+		if d <= r && (in == nil || in[v]) {
 			out = append(out, Neighbor{Node: NodeID(v), D: d})
 		}
 	}

@@ -204,22 +204,21 @@ func (hs *Hierarchy) assignParentsInto(u graph.NodeID, l int, member []bool, dp 
 
 // parentsOf returns the default parent and the parent set of u in V_(l+1)
 // (the nodes flagged in member). MIS maximality puts the default parent
-// within 2^(l+1), so the 4*2^(l+1) ball contains it; Near is exact and
-// ID-ascending, so the set comes out ID-sorted and holds the default
-// parent. It only reads the hierarchy, so calls may run concurrently.
+// within 2^(l+1), so the 4*2^(l+1) ball contains it; Near is exact,
+// ID-ascending and emits only members, so the set comes out ID-sorted and
+// holds the default parent. It only reads the hierarchy, so calls may run
+// concurrently.
 func (hs *Hierarchy) parentsOf(u graph.NodeID, l int, member []bool) (graph.NodeID, []graph.NodeID, error) {
 	psRadius := 4 * math.Pow(2, float64(l+1))
 	best, bestD := graph.Undefined, math.Inf(1)
-	var set []graph.NodeID
-	for _, nb := range hs.m.Near(u, psRadius) {
-		if !member[nb.Node] {
-			continue
-		}
+	nbs := hs.m.Near(u, psRadius, member)
+	set := make([]graph.NodeID, len(nbs))
+	for i, nb := range nbs {
+		set[i] = nb.Node
 		p, d := nb.Node, nb.D
 		if d < bestD || (d == bestD && p < best) {
 			best, bestD = p, d
 		}
-		set = append(set, p)
 	}
 	if best == graph.Undefined {
 		return graph.Undefined, nil, fmt.Errorf("hier: node %d has no level-%d parent", u, l+1)
@@ -298,8 +297,9 @@ func (hs *Hierarchy) deriveSigma() {
 
 // levelAdjacency returns the E_l adjacency: nodes of cur within < radius.
 // member is an all-false scratch bitmap of graph size, restored on return.
-// Near is exact and ID-ascending, so the neighbor lists match the old
-// sorted row scan exactly while staying output-sensitive in oracle mode.
+// Near is exact, ID-ascending and emits only members of cur, so the
+// neighbor lists match the old sorted row scan exactly while staying
+// output-sensitive in oracle mode.
 func levelAdjacency(m graph.DistanceOracle, cur []graph.NodeID, radius float64, member []bool) mis.Adjacency {
 	for _, u := range cur {
 		member[u] = true
@@ -310,8 +310,8 @@ func levelAdjacency(m graph.DistanceOracle, cur []graph.NodeID, radius float64, 
 	stripe(len(cur), func(i int) {
 		u := cur[i]
 		var nbr []graph.NodeID
-		for _, nb := range m.Near(u, radius) {
-			if nb.Node != u && nb.D < radius && member[nb.Node] {
+		for _, nb := range m.Near(u, radius, member) {
+			if nb.Node != u && nb.D < radius {
 				nbr = append(nbr, nb.Node)
 			}
 		}
@@ -482,8 +482,12 @@ func (hs *Hierarchy) Validate() error {
 			return fmt.Errorf("hier: level %d: %s", l, why)
 		}
 	}
+	up := make([]bool, hs.g.N()) // V_(l+1) bitmap, cleared after each level
 	for l := 0; l < hs.h; l++ {
 		bound := math.Pow(2, float64(l+1))
+		for _, p := range hs.levels[l+1] {
+			up[p] = true
+		}
 		for _, u := range hs.levels[l] {
 			if hs.isExcluded(u) {
 				if _, has := hs.defaultParent[l][u]; has {
@@ -492,14 +496,16 @@ func (hs *Hierarchy) Validate() error {
 				continue
 			}
 			dp := hs.defaultParent[l][u]
-			// Near is exact on every oracle; absence from the 4*bound ball
-			// means the distance exceeds 4*bound.
-			near := make(map[graph.NodeID]float64)
-			for _, nb := range hs.m.Near(u, 4*bound) {
+			// Near is exact on every oracle and emits only V_(l+1): absence
+			// from the 4*bound ball means a non-member or a distance above
+			// 4*bound.
+			nbs := hs.m.Near(u, 4*bound, up)
+			near := make(map[graph.NodeID]float64, len(nbs))
+			for _, nb := range nbs {
 				near[nb.Node] = nb.D
 			}
 			if d, ok := near[dp]; !ok || d > bound {
-				return fmt.Errorf("hier: default parent of %d at level %d is %v away (> %v)", u, l, d, bound)
+				return fmt.Errorf("hier: default parent %d of %d at level %d is not a level-%d node within %v", dp, u, l, l+1, bound)
 			}
 			set := hs.parentSet[l][u]
 			foundDP := false
@@ -507,8 +513,8 @@ func (hs *Hierarchy) Validate() error {
 				if p == dp {
 					foundDP = true
 				}
-				if d, ok := near[p]; !ok || d > 4*bound {
-					return fmt.Errorf("hier: parent-set member %d of %d at level %d is %v away (> %v)", p, u, l, d, 4*bound)
+				if _, ok := near[p]; !ok {
+					return fmt.Errorf("hier: parent-set member %d of %d at level %d is not a level-%d node within %v", p, u, l, l+1, 4*bound)
 				}
 				if i > 0 && set[i-1] >= p {
 					return fmt.Errorf("hier: parent set of %d at level %d not ID-sorted", u, l)
@@ -517,6 +523,9 @@ func (hs *Hierarchy) Validate() error {
 			if !foundDP {
 				return fmt.Errorf("hier: parent set of %d at level %d missing default parent", u, l)
 			}
+		}
+		for _, p := range hs.levels[l+1] {
+			up[p] = false
 		}
 	}
 	if hs.liveCount(hs.h) != 1 {

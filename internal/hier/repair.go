@@ -351,10 +351,8 @@ func (hs *Hierarchy) Repair(affected []graph.NodeID) (RepairStats, error) {
 				needSet[u] = true
 			}
 			for _, w := range changedAt[l+1] {
-				for _, nb := range hs.m.Near(w, psRadius) {
-					if hs.liveAt(nb.Node, l) {
-						needSet[nb.Node] = true
-					}
+				for _, nb := range hs.m.Near(w, psRadius, hs.levelSet[l]) {
+					needSet[nb.Node] = true
 				}
 			}
 		}
@@ -441,9 +439,11 @@ func (hs *Hierarchy) repairLevel(l int, dirty []graph.NodeID) []graph.NodeID {
 		u := it.u
 		sel := hs.liveAt(u, l)
 		if sel {
-			for _, nb := range hs.m.Near(u, radius) {
+			// V_(l+1) can still hold a node that just left V_l (it is
+			// dirty, and its own pop clears it), so the live check stays.
+			for _, nb := range hs.m.Near(u, radius, up) {
 				v := nb.Node
-				if v == u || nb.D >= radius || !hs.liveAt(v, l) || !up[v] {
+				if v == u || nb.D >= radius || !hs.liveAt(v, l) {
 					continue
 				}
 				pv := hs.prio(lvl, v)
@@ -458,9 +458,9 @@ func (hs *Hierarchy) repairLevel(l int, dirty []graph.NodeID) []graph.NodeID {
 		}
 		up[u] = sel
 		changed = append(changed, u)
-		for _, nb := range hs.m.Near(u, radius) {
+		for _, nb := range hs.m.Near(u, radius, hs.levelSet[l]) {
 			v := nb.Node
-			if v == u || nb.D >= radius || !hs.liveAt(v, l) {
+			if v == u || nb.D >= radius {
 				continue
 			}
 			pv := hs.prio(lvl, v)

@@ -171,7 +171,7 @@ func sparseCover(m graph.DistanceOracle, n int, r, growth float64, maxIter, leve
 		inY := make([]bool, n)
 		var members []graph.NodeID
 		absorb := func(center graph.NodeID) {
-			for _, nb := range m.Near(center, r) {
+			for _, nb := range m.Near(center, r, nil) {
 				if !inY[nb.Node] {
 					inY[nb.Node] = true
 					members = append(members, nb.Node)
@@ -192,11 +192,8 @@ func sparseCover(m graph.DistanceOracle, n int, r, growth float64, maxIter, leve
 				}
 				// ball(u,r) intersects the cluster iff some in-cluster node
 				// is within r of u (distances are symmetric).
-				for _, nb := range m.Near(graph.NodeID(u), r) {
-					if inY[nb.Node] {
-						layer = append(layer, u)
-						break
-					}
+				if len(m.Near(graph.NodeID(u), r, inY)) > 0 {
+					layer = append(layer, u)
 				}
 			}
 			if len(layer) == 0 {
@@ -236,7 +233,7 @@ func sparseCover(m graph.DistanceOracle, n int, r, growth float64, maxIter, leve
 func leaderRadius(m graph.DistanceOracle, leader graph.NodeID, members []graph.NodeID, bound float64) float64 {
 	for {
 		near := make(map[graph.NodeID]float64, len(members)*2)
-		for _, nb := range m.Near(leader, bound) {
+		for _, nb := range m.Near(leader, bound, nil) {
 			near[nb.Node] = nb.D
 		}
 		radius, ok := 0.0, true
