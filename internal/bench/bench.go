@@ -33,7 +33,10 @@
 // client and no server goroutine, so their allocs/op are pinned too —
 // and the overlay-build rows: hier/build-10000 and its GOMAXPROCS-1 twin
 // hier/build-10000-p1 time hier.Build on motserve's default 10k-node
-// oracle overlay (tracked, not pinned).
+// oracle overlay (tracked, not pinned) — and the directory-op rows:
+// core/move-1024-lb and core/query-1024-lb pin one core.Directory move
+// and query on the reproduce workload's largest cell, the layer between
+// the distance read and the execution substrates.
 package bench
 
 import (
@@ -48,9 +51,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hier"
+	"repro/internal/lb"
 	"repro/internal/mobility"
 	"repro/internal/obs/live"
 	motruntime "repro/internal/runtime"
@@ -571,6 +576,108 @@ func hierBuild(name string, procs int) Result {
 	return toResult(name, r, map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))})
 }
 
+// coreCell is the reproduce workload's largest one-by-one MOT cell,
+// built as perfbench replays it through core.Directory: a
+// NearSquareGrid(1024) on the frozen exact metric, seed
+// mobility.StreamSeed(0, 1024, 0), 100 objects × 200 moves and 2000
+// queries, on the hierarchy with special-parent offset 2 and with load
+// balancing (lb.New) on.
+type coreCell struct {
+	hs *hier.Hierarchy
+	w  *mobility.Workload
+}
+
+func newCoreCell() *coreCell {
+	const n = 1024
+	seed := mobility.StreamSeed(0, n, 0)
+	g := graph.NearSquareGrid(n)
+	m := graph.NewMetric(g)
+	m.Precompute(0)
+	w, err := mobility.Generate(g, m, mobility.Config{Objects: 100, MovesPerObject: 200, Queries: 2000, Seed: seed})
+	if err != nil {
+		panic(err)
+	}
+	hs, err := hier.Build(g, m, hier.Config{Seed: seed, SpecialParentOffset: 2})
+	if err != nil {
+		panic(err)
+	}
+	return &coreCell{hs: hs, w: w}
+}
+
+// publish returns a fresh load-balanced directory holding every object
+// at its initial proxy.
+func (c *coreCell) publish() *core.Directory {
+	d := core.New(c.hs, core.Config{Placement: lb.New(c.hs)})
+	for o, at := range c.w.Initial {
+		if err := d.Publish(core.ObjectID(o), at); err != nil {
+			panic(err)
+		}
+	}
+	return d
+}
+
+func (c *coreCell) moveAll(d *core.Directory) {
+	for _, mv := range c.w.Moves {
+		if err := d.Move(mv.Object, mv.To); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// coreOps measures one core.Directory op of the named class on the cell.
+// One iteration is one pass in the harness's order: "move" replays every
+// move on a directory published with the timer stopped, "query" issues
+// every query on the directory the moves left behind. ns/op, allocs/op
+// and bytes/op are per op, so a pass's slot and map growth is spread
+// over its ops.
+func coreOps(c *coreCell, class string) Result {
+	var ops int
+	var r testing.BenchmarkResult
+	switch class {
+	case "move":
+		ops = len(c.w.Moves)
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := c.publish()
+				b.StartTimer()
+				c.moveAll(d)
+			}
+		})
+	case "query":
+		ops = len(c.w.Queries)
+		d := c.publish()
+		c.moveAll(d)
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			acc := 0.0
+			for i := 0; i < b.N; i++ {
+				for _, q := range c.w.Queries {
+					_, cost, err := d.Query(q.From, q.Object)
+					if err != nil {
+						panic(err)
+					}
+					acc += cost
+				}
+			}
+			sink = acc
+		})
+	default:
+		panic("coreOps: unknown class " + class)
+	}
+	n := int64(r.N) * int64(ops)
+	return Result{
+		Name:        fmt.Sprintf("core/%s-1024-lb", class),
+		Iterations:  int(n),
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(n),
+		AllocsPerOp: int64(r.MemAllocs) / n,
+		BytesPerOp:  int64(r.MemBytes) / n,
+		Pinned:      true,
+		Extra:       map[string]float64{"ops_per_pass": float64(ops)},
+	}
+}
+
 // Run executes the whole suite. It takes a few seconds.
 func Run() *Report {
 	benchmarks := []Result{
@@ -602,6 +709,10 @@ func Run() *Report {
 		benchmarks = append(benchmarks, best(5, func() Result { return serveHandler(class) }))
 	}
 	benchmarks = append(benchmarks, hierBuild("hier/build-10000", 0), hierBuild("hier/build-10000-p1", 1))
+	cell := newCoreCell()
+	for _, class := range []string{"move", "query"} {
+		benchmarks = append(benchmarks, best(3, func() Result { return coreOps(cell, class) }))
+	}
 	return &Report{
 		Schema:     "mot-bench/v1",
 		GoOS:       runtime.GOOS,

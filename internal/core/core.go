@@ -6,11 +6,13 @@
 //
 // The station state lives in one place, Store (store.go): the DL and SDL
 // entry formats and the per-station steps stamp, probe, erase and wipe,
-// plus the trail walk and the invariant check. Directory drives one Store
-// one operation at a time (the paper's "one by one case", §4.1.1); the
-// discrete-event simulator in internal/sim drives a Store for the
-// concurrent case, and the goroutine runtime in internal/runtime gives
-// each node goroutine its own.
+// plus the trail walk and the invariant check. A store finds a station's
+// slot by indexing a per-level row with the station key, not by hashing,
+// and lists its slots in materialization order for the sweeps. Directory
+// drives one Store one operation at a time (the paper's "one by one
+// case", §4.1.1); the discrete-event simulator in internal/sim drives a
+// Store for the concurrent case, and the goroutine runtime in
+// internal/runtime gives each node goroutine its own.
 package core
 
 import (

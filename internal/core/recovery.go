@@ -41,8 +41,8 @@ func (d *Directory) Unpublish(o ObjectID) error {
 		}
 		st = e.Child
 	}
-	// The trailing defensive wipe iterates the slot map, so it must stay
-	// silent — one aggregate event marks it instead.
+	// The trailing defensive wipe sweeps every slot, so it stays silent —
+	// one aggregate event marks it instead.
 	d.obsEvent(obs.EvWipe, -1, pos, 0)
 	d.store.Wipe(o) // defensive: a damaged trail may have left detached entries
 	delete(d.loc, o)
@@ -107,8 +107,8 @@ func (d *Directory) Repair(o ObjectID) error {
 		return fmt.Errorf("core: object %d %w", o, ErrNotPublished)
 	}
 	d.obsStart(obs.OpRecovery, o)
-	// wipe iterates the slot map; mark it with one aggregate event rather
-	// than per-slot events whose order would track map iteration.
+	// wipe sweeps every slot; mark it with one aggregate event rather
+	// than one event per slot.
 	d.obsEvent(obs.EvWipe, -1, proxy, 0)
 	d.store.Wipe(o)
 	cost := d.stampWalk(o, proxy, d.ver[o])

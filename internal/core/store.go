@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -22,19 +21,30 @@ import (
 // one Store per node, holding the stations that node hosts) are three
 // drivers of this one state machine.
 //
+// A Store addresses its stations without hashing. Every slot is listed
+// once in materialization order, and the sweeps (Wipe, Count, Union,
+// Check, and the Directory's DropHost, StaleObjects and LoadByNode) walk
+// that list. Station keys are dense per level — node IDs on HS, cluster
+// labels on the partition hierarchy — so each level has a row of list
+// positions indexed by key − base, grown at either end when a key falls
+// outside it.
+//
 // A Store is not safe for concurrent use. The zero value is empty and
 // ready to use.
 type Store struct {
-	slots map[slotKey]*slot
+	rows  []row   // rows[level]
+	slots []*slot // every slot, in materialization order
+	spare []slot  // the unused tail of the newest slot chunk
 }
 
-// slotKey identifies a directory slot: one station of the overlay.
-type slotKey struct {
-	level int
-	key   int64
+// row indexes one level's slots: at[i] is 1 + the slots-list position of
+// key base+i, 0 where no station of that key has been materialized.
+// Positions rather than pointers halve the row and keep it out of the
+// garbage collector's scan.
+type row struct {
+	base int64
+	at   []int32
 }
-
-func keyOf(st overlay.Station) slotKey { return slotKey{level: st.Level, key: st.Key} }
 
 // Entry is one object's record in a station's detection list.
 type Entry struct {
@@ -73,23 +83,72 @@ const (
 
 // slot returns st's slot, materializing it on first use.
 func (s *Store) slot(st overlay.Station) *slot {
-	k := keyOf(st)
-	sl, ok := s.slots[k]
-	if !ok {
-		if s.slots == nil {
-			//motlint:ignore hotalloc lazy one-time materialization of the slot map
-			s.slots = make(map[slotKey]*slot)
-		}
-		//motlint:ignore hotalloc lazy one-time materialization of a station's slot
-		sl = &slot{station: st, dl: make(map[ObjectID]Entry)}
-		s.slots[k] = sl
+	if sl, ok := s.peek(st); ok {
+		return sl
 	}
+	if len(s.spare) == 0 {
+		// Chunks double with the store up to 256 slots, so a store of n
+		// slots pays O(log n + n/256) slot allocations, not n.
+		//motlint:ignore hotalloc amortized: one chunk per doubling of the store
+		s.spare = make([]slot, min(max(len(s.slots), 1), 256))
+	}
+	sl := &s.spare[0]
+	s.spare = s.spare[1:]
+	//motlint:ignore hotalloc lazy one-time materialization of a station's DL
+	sl.station, sl.dl = st, make(map[ObjectID]Entry)
+	s.list(st, sl)
 	return sl
 }
 
 func (s *Store) peek(st overlay.Station) (*slot, bool) {
-	sl, ok := s.slots[keyOf(st)]
-	return sl, ok
+	if uint(st.Level) >= uint(len(s.rows)) {
+		return nil, false
+	}
+	r := &s.rows[st.Level]
+	i := st.Key - r.base
+	if uint64(i) >= uint64(len(r.at)) || r.at[i] == 0 {
+		return nil, false
+	}
+	return s.slots[r.at[i]-1], true
+}
+
+// list appends sl, the slot of st, to the slot list and indexes it.
+func (s *Store) list(st overlay.Station, sl *slot) {
+	//motlint:ignore hotalloc the slot list grows once per materialized slot
+	s.slots = append(s.slots, sl)
+	*s.cell(st) = int32(len(s.slots))
+}
+
+// cell returns st's position in its level's row, growing the row to
+// cover st.Key. A row's first key sets its base, so a store holding one
+// key per level has one-entry rows. Past the end the row grows by
+// append; below the base it grows by at least its length, but never to
+// a base under 0 unless a key is negative. A row therefore spans at most
+// its level's key range, from min(0, lowest key) to the highest key, and
+// growth is amortized in any order of non-negative keys, which is what
+// every overlay issues.
+func (s *Store) cell(st overlay.Station) *int32 {
+	if st.Level >= len(s.rows) {
+		//motlint:ignore hotalloc a level's row is materialized once
+		s.rows = append(s.rows, make([]row, st.Level+1-len(s.rows))...)
+	}
+	r := &s.rows[st.Level]
+	switch n := int64(len(r.at)); {
+	case n == 0:
+		r.base = st.Key
+		//motlint:ignore hotalloc a level's row is materialized once
+		r.at = make([]int32, 1)
+	case st.Key < r.base:
+		base := min(st.Key, max(r.base-n, 0))
+		//motlint:ignore hotalloc amortized growth of a level's row
+		at := make([]int32, r.base-base+n)
+		copy(at[r.base-base:], r.at)
+		r.base, r.at = base, at
+	case st.Key-r.base >= n:
+		//motlint:ignore hotalloc amortized growth of a level's row
+		r.at = append(r.at, make([]int32, st.Key-r.base+1-n)...)
+	}
+	return &r.at[st.Key-r.base]
 }
 
 // Stamp writes o's entry at st, the station of level l of the stamping
@@ -192,18 +251,17 @@ func (s *Store) Wipe(o ObjectID) {
 }
 
 // Stations returns every materialized station in (level, key) order, for
-// deterministic sweeps over the store.
+// deterministic sweeps over the store: the rows already hold them in
+// that order.
 func (s *Store) Stations() []overlay.Station {
 	out := make([]overlay.Station, 0, len(s.slots))
-	for _, sl := range s.slots {
-		out = append(out, sl.station)
-	}
-	slices.SortFunc(out, func(a, b overlay.Station) int {
-		if c := cmp.Compare(a.Level, b.Level); c != 0 {
-			return c
+	for _, r := range s.rows {
+		for _, i := range r.at {
+			if i != 0 {
+				out = append(out, s.slots[i-1].station)
+			}
 		}
-		return cmp.Compare(a.Key, b.Key)
-	})
+	}
 	return out
 }
 
@@ -220,10 +278,10 @@ func (s *Store) Count() (dl, sdl int) {
 // disjoint stations (the goroutine runtime's per-node stores). The slots
 // are shared, not copied, so the result is a view for quiescent reads.
 func Union(stores []Store) *Store {
-	u := &Store{slots: make(map[slotKey]*slot)}
+	u := &Store{}
 	for i := range stores {
-		for k, sl := range stores[i].slots {
-			u.slots[k] = sl
+		for _, sl := range stores[i].slots {
+			u.list(sl.station, sl)
 		}
 	}
 	return u
@@ -267,32 +325,44 @@ func (s *Store) trail(o ObjectID, st overlay.Station, visit func(overlay.Station
 // and that every SDL shortcut points at a station that still holds its
 // object.
 func (s *Store) Check(root overlay.Station, loc map[ObjectID]graph.NodeID) error {
-	for o, proxy := range loc {
+	// Objects in ascending ID order and slots in list order, so a given
+	// corrupted store always reports the same violation.
+	objs := make([]ObjectID, 0, len(loc))
+	for o := range loc {
+		objs = append(objs, o)
+	}
+	slices.Sort(objs)
+	for _, o := range objs {
 		if _, ok := s.Get(root, o); !ok {
 			return fmt.Errorf("core: invariant: root does not hold object %d", o)
 		}
-		reach := map[slotKey]bool{}
+		reach := map[*slot]bool{}
 		end, ok := s.trail(o, root, func(st overlay.Station) bool {
-			reach[keyOf(st)] = true
+			sl, _ := s.peek(st)
+			reach[sl] = true
 			return true
 		})
 		if !ok {
 			return fmt.Errorf("core: invariant: trail for object %d breaks at %v", o, end)
 		}
-		if end.Host != proxy {
+		if proxy := loc[o]; end.Host != proxy {
 			return fmt.Errorf("core: invariant: object %d trail ends at %d, proxy is %d", o, end.Host, proxy)
 		}
-		for k, sl := range s.slots {
-			if _, has := sl.dl[o]; has && !reach[k] {
+		for _, sl := range s.slots {
+			if _, has := sl.dl[o]; has && !reach[sl] {
 				return fmt.Errorf("core: invariant: orphaned entry for object %d at %v", o, sl.station)
 			}
 		}
 	}
 	for _, sl := range s.slots {
+		bad, found := ObjectID(0), false
 		for o, child := range sl.sdl {
-			if _, ok := s.Get(child, o); !ok {
-				return fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", sl.station, child, o)
+			if _, ok := s.Get(child, o); !ok && (!found || o < bad) {
+				bad, found = o, true
 			}
+		}
+		if found {
+			return fmt.Errorf("core: invariant: SDL at %v points to %v which lost object %d", sl.station, sl.sdl[bad], bad)
 		}
 	}
 	return nil

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/mis"
@@ -82,8 +83,20 @@ type Hierarchy struct {
 	rhoOnce sync.Once
 	rho     float64
 	sigma   int
-	pathsMu sync.RWMutex
-	paths   map[graph.NodeID]overlay.Path
+	// paths caches, per node, the detection path and home chain built on
+	// first use. Reads take no lock; Repair swaps in an empty cache.
+	paths atomic.Pointer[pathCache]
+}
+
+// pathCache holds one entry per node, nil until that node's path is
+// built.
+type pathCache []atomic.Pointer[pathEntry]
+
+// pathEntry is one node u's cached walk up the hierarchy: its detection
+// path and its home chain, home[l] = home^l(u) as a station.
+type pathEntry struct {
+	path overlay.Path
+	home []overlay.Station
 }
 
 // Build constructs HS over g using the distance oracle m (which must
@@ -109,12 +122,8 @@ func BuildExcluding(g *graph.Graph, m graph.DistanceOracle, cfg Config, excluded
 	if !g.Connected() {
 		return nil, fmt.Errorf("hier: graph must be connected")
 	}
-	hs := &Hierarchy{
-		g:     g,
-		m:     m,
-		cfg:   cfg,
-		paths: make(map[graph.NodeID]overlay.Path),
-	}
+	hs := &Hierarchy{g: g, m: m, cfg: cfg}
+	hs.clearPaths()
 
 	// Level 0 = all nodes.
 	v0 := make([]graph.NodeID, g.N())
@@ -385,10 +394,10 @@ func (hs *Hierarchy) Home(u graph.NodeID, l int) graph.NodeID {
 	return cur
 }
 
-// HomeStation returns home^l(u) as an overlay station.
+// HomeStation returns home^l(u) as an overlay station, 0 ≤ l ≤ Height(),
+// from the home chain cached with u's detection path.
 func (hs *Hierarchy) HomeStation(u graph.NodeID, l int) overlay.Station {
-	h := hs.Home(u, l)
-	return overlay.Station{Level: l, Key: int64(h), Host: h}
+	return hs.entry(u).home[l]
 }
 
 // DefaultParent returns the default parent at level l+1 of node u in V_l.
@@ -414,42 +423,49 @@ func (hs *Hierarchy) ParentSet(u graph.NodeID, l int) []graph.NodeID {
 // parentset^l(u) (the parent set of home^(l-1)(u)); otherwise it is the
 // single default parent home^l(u). Results are cached and shared.
 func (hs *Hierarchy) DPath(u graph.NodeID) overlay.Path {
-	hs.pathsMu.RLock()
-	p, ok := hs.paths[u]
-	hs.pathsMu.RUnlock()
-	if ok {
-		return p
-	}
-	p = hs.buildPath(u)
-	hs.pathsMu.Lock()
-	if prev, ok := hs.paths[u]; ok {
-		hs.pathsMu.Unlock()
-		return prev
-	}
-	hs.paths[u] = p
-	hs.pathsMu.Unlock()
-	return p
+	return hs.entry(u).path
 }
 
-func (hs *Hierarchy) buildPath(u graph.NodeID) overlay.Path {
-	p := make(overlay.Path, hs.h+1)
-	p[0] = []overlay.Station{{Level: 0, Key: int64(u), Host: u}}
-	home := u
-	for l := 1; l <= hs.h; l++ {
-		if hs.cfg.UseParentSets {
-			set := hs.parentSet[l-1][home]
-			stations := make([]overlay.Station, len(set))
-			for i, s := range set {
-				stations[i] = overlay.Station{Level: l, Key: int64(s), Host: s}
-			}
-			p[l] = stations
-		} else {
-			dp := hs.defaultParent[l-1][home]
-			p[l] = []overlay.Station{{Level: l, Key: int64(dp), Host: dp}}
-		}
-		home = hs.defaultParent[l-1][home]
+// entry returns u's cached path entry, building it on first use. Racing
+// builders compute equal entries and the first one stored wins.
+func (hs *Hierarchy) entry(u graph.NodeID) *pathEntry {
+	at := &(*hs.paths.Load())[u]
+	if e := at.Load(); e != nil {
+		return e
 	}
-	return p
+	e := hs.buildPath(u)
+	if !at.CompareAndSwap(nil, e) {
+		e = at.Load()
+	}
+	return e
+}
+
+// buildPath walks u's home chain once. Without parent sets each level of
+// the path is the one home station, so the path's levels are one-entry
+// views of the home chain and the pair costs one allocation of stations.
+func (hs *Hierarchy) buildPath(u graph.NodeID) *pathEntry {
+	home := make([]overlay.Station, hs.h+1)
+	cur := u
+	for l := range home {
+		if l > 0 {
+			cur = hs.defaultParent[l-1][cur]
+		}
+		home[l] = overlay.Station{Level: l, Key: int64(cur), Host: cur}
+	}
+	p := make(overlay.Path, hs.h+1)
+	for l := range p {
+		if l == 0 || !hs.cfg.UseParentSets {
+			p[l] = home[l : l+1 : l+1]
+			continue
+		}
+		set := hs.parentSet[l-1][home[l-1].Host]
+		stations := make([]overlay.Station, len(set))
+		for i, s := range set {
+			stations[i] = overlay.Station{Level: l, Key: int64(s), Host: s}
+		}
+		p[l] = stations
+	}
+	return &pathEntry{path: p, home: home}
 }
 
 // Validate checks the structural invariants of HS: nested level sets, level

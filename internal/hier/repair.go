@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mis"
-	"repro/internal/overlay"
 )
 
 // Incremental hierarchy repair.
@@ -399,17 +398,18 @@ func (hs *Hierarchy) Repair(affected []graph.NodeID) (RepairStats, error) {
 		}
 	}
 
-	// Detection paths are a cache over the (now mutated) parent tables;
-	// dropping it wholesale re-lands on exactly the fresh-build state.
+	// Detection paths and home chains are a cache over the (now mutated)
+	// parent tables; dropping it wholesale re-lands on exactly the
+	// fresh-build state.
 	hs.clearPaths()
 	return st, nil
 }
 
-// clearPaths drops the detection-path cache after a structural mutation.
+// clearPaths installs an empty path cache: at build time, and after a
+// structural mutation.
 func (hs *Hierarchy) clearPaths() {
-	hs.pathsMu.Lock()
-	hs.paths = make(map[graph.NodeID]overlay.Path)
-	hs.pathsMu.Unlock()
+	c := make(pathCache, hs.g.N())
+	hs.paths.Store(&c)
 }
 
 // repairLevel re-evaluates V_(l+1) membership from the pending dirty set:
